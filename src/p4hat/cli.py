@@ -63,7 +63,7 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     started = time.perf_counter()
     report = counterexample_search(args.n, args.t, workers=args.workers, progress=progress)
     print(f"search n={args.n} t={args.t}: {time.perf_counter() - started:.2f}s "
-          f"({args.workers} workers)", file=sys.stderr)
+          f"({args.workers} workers, {report.nodes_visited} nodes visited)", file=sys.stderr)
 
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,

@@ -9,7 +9,7 @@ to a path check inside each neighborhood.  Containment is always in the
 A neighborhood H contains a 4-path iff it has an edge (a, b) such that a has
 a neighbor c != b, b has a neighbor d != a, and c, d can be chosen distinct:
 the path is then c-a-b-d.  That test is a couple of mask operations per edge
-and is what the search hot loop runs millions of times.
+and is the one detector the search runs at every node of its walk.
 """
 
 from __future__ import annotations

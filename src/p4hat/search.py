@@ -19,11 +19,14 @@ To certify that no n-vertex p4hat-free graph holds t or more triangles
   certifies nonexistence.
 
 Subsets are enumerated in colexicographic rank order so the work splits
-into deterministic, worker-count-independent ranges.  The union graph is
-maintained incrementally along the enumeration tree: per-edge multiplicity
-counters decide which adjacency bits each pushed triangle contributes, and
-adjacency lives in a single packed integer (one row of ``stride`` bits per
-vertex) that each recursion level extends functionally.
+into deterministic, worker-count-independent ranges.  The enumeration is a
+depth-first walk that adds one triangle per level, keeping the union's
+adjacency rows in place with per-edge multiplicity counters.  Containing
+the pattern is monotone under adding edges, so the walk tests the union at
+every node and skips the subtree below any node whose union already
+contains it; at n = 8, t = 9 this visits 19,921 nodes instead of testing
+12,620,256 leaves.  ``graphs_examined`` counts the ranks covered, pruned
+subtrees included, so an exhausted scan still accounts for every subset.
 
 The same scan in "collect" mode, filtered to unions with exactly
 t = ex(n) triangles, enumerates every extremal configuration that has two
@@ -63,7 +66,6 @@ SEARCH_MAX_VERTICES = 10
 EXHAUSTIVE_MAX_VERTICES = 7
 EXTREMAL_MAX_VERTICES = 8
 
-_POLL_INTERVAL = 8192
 _STOP_SENTINEL = 1 << 62
 
 
@@ -138,292 +140,82 @@ def combination_rank_range(total: int, k: int, chunk: int, chunks: int) -> tuple
     return ranks * chunk // chunks, ranks * (chunk + 1) // chunks
 
 
-# -- packed-adjacency machinery ------------------------------------------------
+# -- the pruned colex scan ------------------------------------------------------
 
-def _stride_for(n: int) -> int:
-    return 8 if n <= 8 else 16
-
-
-def _packed_has_suspension(adj: int, n: int, stride: int, rowmask: int) -> bool:
-    for v in range(n):
-        b = adj >> v * stride & rowmask
-        if b.bit_count() < 4:
-            continue
-        m = b
-        while m:
-            abit = m & -m
-            m ^= abit
-            na = (adj >> (abit.bit_length() - 1) * stride & rowmask) & b
-            w = na & ~((abit << 1) - 1)
-            while w:
-                bbit = w & -w
-                w ^= bbit
-                ca = na ^ bbit
-                cb = ((adj >> (bbit.bit_length() - 1) * stride & rowmask) & b) ^ abit
-                if ca and cb:
-                    u = ca | cb
-                    if u & (u - 1):
-                        return True
-    return False
+def _edge_data(n: int, tris: Sequence[Triangle]) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Per triangle, its three edges as (counter index, u, v)."""
+    return tuple(tuple((u * n + v, u, v) for u, v in triangle_edges(tri)) for tri in tris)
 
 
-def _packed_triangle_count(adj: int, n: int, stride: int, rowmask: int) -> int:
-    t = 0
-    for v in range(n):
-        rv = adj >> v * stride & rowmask
-        hi = rv >> (v + 1) << (v + 1)
-        for u in _bits(hi):
-            ru = adj >> u * stride & rowmask
-            t += (rv & ru >> (u + 1) << (u + 1)).bit_count()
-    return t
+def _scan(n, cand_edges, k, lo, hi, first, stop=None):
+    """Walk the k-subsets of candidates whose colex ranks lie in [lo, hi).
 
+    Subset elements are chosen from the largest down, so subsets are met in
+    colex order: choosing element m at level j spans the ranks
+    [base + C(m, j), base + C(m + 1, j)).  Every node's union (the fixed pair
+    plus the triangles chosen so far) is tested; adding triangles never
+    removes the pattern, so a node whose union contains it is skipped with
+    its whole subtree, and the subtree's ranks inside [lo, hi) still count
+    as examined.  A leaf whose union is p4hat-free is a hit.  ``first``
+    stops at the first hit; otherwise every hit is kept.
 
-def _packed_rows(adj: int, n: int, stride: int, rowmask: int) -> tuple[int, ...]:
-    return tuple(adj >> v * stride & rowmask for v in range(n))
+    ``stop`` is an optional shared Value carrying the least hit rank found
+    by any worker; the walk ends once every rank it could still visit
+    exceeds it, which keeps the merged result identical for any worker
+    count.
 
-
-def _candidate_edge_data(n: int, stride: int, cands: Sequence[Triangle]):
-    """Flat (edge-index, bit-pair) data per candidate for the scan hot loop."""
-    out = []
-    for tri in cands:
-        flat: list[int] = []
-        for u, v in triangle_edges(tri):
-            flat.append(u * n + v)
-            flat.append(1 << u * stride + v | 1 << v * stride + u)
-        out.append(tuple(flat))
-    return tuple(out)
-
-
-def _base_state(n: int, stride: int, fixed: Sequence[Triangle]) -> tuple[list[int], int]:
-    counts = [0] * (n * n)
-    adj = 0
-    for tri in fixed:
-        for u, v in triangle_edges(tri):
-            if not counts[u * n + v]:
-                adj |= 1 << u * stride + v | 1 << v * stride + u
-            counts[u * n + v] += 1
-    return counts, adj
-
-
-class _Done(Exception):
-    pass
-
-
-def _scan_first(n, stride, cand_edges, k, lo, hi, counts, adj0, stop):
-    """Scan colex ranks [lo, hi); stop at the first p4hat-free union.
-
-    Returns (examined, found_rank, found_subset).  ``stop`` is an optional
-    shared Value carrying the least rank found anywhere; a worker aborts
-    once every rank it could still visit exceeds that value, which keeps
-    the merged result identical for any worker count.
+    Returns (examined, nodes, hits): ranks covered, detector calls, and the
+    hits as (rank, sorted subset) pairs in colex order.
     """
-    if lo >= hi:
-        return 0, None, None
-    ncand = len(cand_edges)
-    combt = [[comb(m, j) for j in range(k + 1)] for m in range(ncand + 1)]
-    cnt = list(counts)
+    combt = [[comb(m, j) for j in range(k + 1)] for m in range(len(cand_edges) + 1)]
+    cnt = [0] * (n * n)
+    rows = [0] * n
+
+    def toggle(edges, delta):
+        for e, u, v in edges:
+            cnt[e] += delta
+            if cnt[e] == (delta > 0):  # the edge just appeared or just vanished
+                rows[u] ^= 1 << v
+                rows[v] ^= 1 << u
+
+    for edges in _edge_data(n, FIXED_TRIANGLES):
+        toggle(edges, 1)
     chosen: list[int] = []
-    examined = 0
-    next_poll = _POLL_INTERVAL
-    found_rank: int | None = None
-    found_subset: tuple[int, ...] | None = None
-    rowmask = (1 << stride) - 1
-    has = _packed_has_suspension
+    hits: list[tuple[int, tuple[int, ...]]] = []
+    examined = nodes = 0
 
-    def leaf_loop(mlo, mhi, base, adj):
-        nonlocal examined, next_poll, found_rank, found_subset
-        for m in range(mlo, mhi):
-            e0, m0, e1, m1, e2, m2 = cand_edges[m]
-            na = adj
-            if not cnt[e0]:
-                na |= m0
-            if not cnt[e1]:
-                na |= m1
-            if not cnt[e2]:
-                na |= m2
-            if has(na, n, stride, rowmask):
-                continue
-            examined += m - mlo + 1
-            found_rank = base + m
-            found_subset = tuple(sorted(chosen + [m]))
-            raise _Done
-        examined += mhi - mlo
-        if examined >= next_poll:
-            next_poll = examined + _POLL_INTERVAL
-            if stop is not None and stop.value < base + mhi:
-                raise _Done
-
-    def walk_full(j, cap, base, adj):
-        if j == 1:
-            leaf_loop(0, cap, base, adj)
-            return
-        for m in range(j - 1, cap):
-            e0, m0, e1, m1, e2, m2 = cand_edges[m]
-            na = adj
-            c = cnt[e0]
-            cnt[e0] = c + 1
-            if not c:
-                na |= m0
-            c = cnt[e1]
-            cnt[e1] = c + 1
-            if not c:
-                na |= m1
-            c = cnt[e2]
-            cnt[e2] = c + 1
-            if not c:
-                na |= m2
-            chosen.append(m)
-            try:
-                walk_full(j - 1, m, base + combt[m][j], na)
-            finally:
-                chosen.pop()
-                cnt[e0] -= 1
-                cnt[e1] -= 1
-                cnt[e2] -= 1
-
-    def walk(j, cap, base, wlo, whi, adj):
+    def walk(j: int, cap: int, base: int) -> bool:
+        """Visit the children of one node; True once the whole walk must end."""
+        nonlocal examined, nodes
         for m in range(j - 1, cap):
             a = base + combt[m][j]
             b = base + combt[m + 1][j]
-            if b <= wlo:
+            if b <= lo:
                 continue
-            if a >= whi:
+            if a >= hi:
                 break
-            e0, m0, e1, m1, e2, m2 = cand_edges[m]
-            na = adj
-            c = cnt[e0]
-            cnt[e0] = c + 1
-            if not c:
-                na |= m0
-            c = cnt[e1]
-            cnt[e1] = c + 1
-            if not c:
-                na |= m1
-            c = cnt[e2]
-            cnt[e2] = c + 1
-            if not c:
-                na |= m2
+            if stop is not None and stop.value < max(a, lo):
+                return True
+            toggle(cand_edges[m], 1)
             chosen.append(m)
-            try:
-                if j == 2:
-                    leaf_loop(max(0, wlo - a), min(m, whi - a), a, na)
-                elif wlo <= a and b <= whi:
-                    walk_full(j - 1, m, a, na)
-                else:
-                    walk(j - 1, m, a, max(wlo, a), min(whi, b), na)
-            finally:
-                chosen.pop()
-                cnt[e0] -= 1
-                cnt[e1] -= 1
-                cnt[e2] -= 1
-
-    try:
-        if k == 1:
-            leaf_loop(lo, hi, 0, adj0)
-        elif lo == 0 and hi == combt[ncand][k]:
-            walk_full(k, ncand, 0, adj0)
-        else:
-            walk(k, ncand, 0, lo, hi, adj0)
-    except _Done:
-        pass
-    return examined, found_rank, found_subset
-
-
-def _scan_collect(n, stride, cand_edges, k, lo, hi, counts, adj0):
-    """Scan colex ranks [lo, hi); collect every p4hat-free union's subset."""
-    if lo >= hi:
-        return 0, []
-    ncand = len(cand_edges)
-    combt = [[comb(m, j) for j in range(k + 1)] for m in range(ncand + 1)]
-    cnt = list(counts)
-    chosen: list[int] = []
-    examined = 0
-    hits: list[tuple[int, ...]] = []
-    rowmask = (1 << stride) - 1
-    has = _packed_has_suspension
-
-    def leaf_loop(mlo, mhi, adj):
-        nonlocal examined
-        for m in range(mlo, mhi):
-            e0, m0, e1, m1, e2, m2 = cand_edges[m]
-            na = adj
-            if not cnt[e0]:
-                na |= m0
-            if not cnt[e1]:
-                na |= m1
-            if not cnt[e2]:
-                na |= m2
-            if not has(na, n, stride, rowmask):
-                hits.append(tuple(sorted(chosen + [m])))
-        examined += mhi - mlo
-
-    def walk_full(j, cap, adj):
-        if j == 1:
-            leaf_loop(0, cap, adj)
-            return
-        for m in range(j - 1, cap):
-            e0, m0, e1, m1, e2, m2 = cand_edges[m]
-            na = adj
-            c = cnt[e0]
-            cnt[e0] = c + 1
-            if not c:
-                na |= m0
-            c = cnt[e1]
-            cnt[e1] = c + 1
-            if not c:
-                na |= m1
-            c = cnt[e2]
-            cnt[e2] = c + 1
-            if not c:
-                na |= m2
-            chosen.append(m)
-            walk_full(j - 1, m, na)
-            chosen.pop()
-            cnt[e0] -= 1
-            cnt[e1] -= 1
-            cnt[e2] -= 1
-
-    def walk(j, cap, base, wlo, whi, adj):
-        for m in range(j - 1, cap):
-            a = base + combt[m][j]
-            b = base + combt[m + 1][j]
-            if b <= wlo:
-                continue
-            if a >= whi:
-                break
-            e0, m0, e1, m1, e2, m2 = cand_edges[m]
-            na = adj
-            c = cnt[e0]
-            cnt[e0] = c + 1
-            if not c:
-                na |= m0
-            c = cnt[e1]
-            cnt[e1] = c + 1
-            if not c:
-                na |= m1
-            c = cnt[e2]
-            cnt[e2] = c + 1
-            if not c:
-                na |= m2
-            chosen.append(m)
-            if j == 2:
-                leaf_loop(max(0, wlo - a), min(m, whi - a), na)
-            elif wlo <= a and b <= whi:
-                walk_full(j - 1, m, na)
+            nodes += 1
+            if _rows_contain_suspension(rows, n):
+                examined += min(b, hi) - max(a, lo)
+            elif j > 1:
+                if walk(j - 1, m, a):
+                    return True
             else:
-                walk(j - 1, m, a, max(wlo, a), min(whi, b), na)
+                examined += 1
+                hits.append((a, tuple(reversed(chosen))))
+                if first:
+                    return True
             chosen.pop()
-            cnt[e0] -= 1
-            cnt[e1] -= 1
-            cnt[e2] -= 1
+            toggle(cand_edges[m], -1)
+        return False
 
-    if k == 1:
-        leaf_loop(lo, hi, adj0)
-    elif lo == 0 and hi == combt[ncand][k]:
-        walk_full(k, ncand, adj0)
-    else:
-        walk(k, ncand, 0, lo, hi, adj0)
-    return examined, hits
+    if lo < hi:
+        walk(k, len(cand_edges), 0)
+    return examined, nodes, hits
 
 
 # -- worker plumbing -----------------------------------------------------------
@@ -437,48 +229,34 @@ def _init_worker(stop):
 
 
 def _worker_scan(args):
-    mode, n, stride, cand_edges, k, lo, hi, counts, adj0 = args
-    if mode == "first":
-        stop = _WORKER_STOP
-        examined, rank, subset = _scan_first(
-            n, stride, cand_edges, k, lo, hi, counts, adj0, stop
-        )
-        if rank is not None and stop is not None:
-            with stop.get_lock():
-                if rank < stop.value:
-                    stop.value = rank
-        return examined, rank, subset
-    return _scan_collect(n, stride, cand_edges, k, lo, hi, counts, adj0)
+    first, n, cand_edges, k, lo, hi = args
+    stop = _WORKER_STOP
+    examined, nodes, hits = _scan(n, cand_edges, k, lo, hi, first, stop)
+    if first and hits and stop is not None:
+        with stop.get_lock():
+            if hits[0][0] < stop.value:
+                stop.value = hits[0][0]
+    return examined, nodes, hits
 
 
-def _run_partitioned(mode, n, t_or_none, cands, k, workers, progress=None):
+def _run_partitioned(first, n, cands, k, workers, progress=None):
     """Run a scan over all C(len(cands), k) ranks split across workers."""
-    stride = _stride_for(n)
-    cand_edges = _candidate_edge_data(n, stride, cands)
-    counts, adj0 = _base_state(n, stride, FIXED_TRIANGLES)
+    cand_edges = _edge_data(n, cands)
     total = comb(len(cands), k)
     ranges = [combination_rank_range(len(cands), k, i, workers) for i in range(workers)]
-    args = [(mode, n, stride, cand_edges, k, lo, hi, counts, adj0) for lo, hi in ranges]
+    args = [(first, n, cand_edges, k, lo, hi) for lo, hi in ranges]
 
     if workers == 1:
-        results = [_worker_scan_local(args[0])]
+        results = [_worker_scan(args[0])]
     else:
         ctx = get_context("fork")
-        stop = ctx.Value("q", _STOP_SENTINEL) if mode == "first" else None
+        stop = ctx.Value("q", _STOP_SENTINEL) if first else None
         with ctx.Pool(processes=workers, initializer=_init_worker, initargs=(stop,)) as pool:
             results = pool.map(_worker_scan, args)
     if progress is not None:
         for i, res in enumerate(results):
             progress(i, res[0])
     return total, results
-
-
-def _worker_scan_local(args):
-    # single-worker path: no shared stop value needed
-    mode, n, stride, cand_edges, k, lo, hi, counts, adj0 = args
-    if mode == "first":
-        return _scan_first(n, stride, cand_edges, k, lo, hi, counts, adj0, None)
-    return _scan_collect(n, stride, cand_edges, k, lo, hi, counts, adj0)
 
 
 # -- public search operations ---------------------------------------------------
@@ -493,9 +271,19 @@ class SearchSpec:
 
 @dataclass(frozen=True)
 class SearchReport:
+    """Outcome of a counterexample search.
+
+    ``graphs_examined`` counts the colex ranks covered, pruned subtrees
+    included.  ``nodes_visited`` counts detector calls in the scan, summed
+    over workers; unlike every other field it depends on the worker count,
+    since each worker's rank range cuts the tree in its own places (and on
+    timing when several workers race to a counterexample).
+    """
+
     spec: SearchSpec
     outcome: str  # "exhausted" | "counterexample"
     graphs_examined: int
+    nodes_visited: int
     unions_p4hat_free_with_excess: int
     counterexample: Graph | None
     counterexample_rank: int | None
@@ -516,8 +304,8 @@ def counterexample_search(
     p4hat-free graph holds >= t triangles whenever t > floor(n^2/8)
     (reported as ``nonexistence_certified``).  A found union is returned as
     the counterexample with the least colex rank; ``graphs_examined`` is
-    then the number of ranks up to and including it.  Reports are identical
-    for every worker count.
+    then the number of ranks up to and including it.  Every field but
+    ``nodes_visited`` and ``elapsed`` is identical for every worker count.
     """
     if not 5 <= n <= SEARCH_MAX_VERTICES:
         raise GuardError(f"counterexample_search supports 5 <= n <= {SEARCH_MAX_VERTICES}")
@@ -534,21 +322,21 @@ def counterexample_search(
     if k > len(cands):
         # no subsets exist; vacuously exhausted
         return SearchReport(
-            spec, "exhausted", 0, 0, None, None, t > n * n // 8,
+            spec, "exhausted", 0, 0, 0, None, None, t > n * n // 8,
             time.perf_counter() - started,
         )
 
-    total, results = _run_partitioned("first", n, t, cands, k, workers, progress)
+    total, results = _run_partitioned(True, n, cands, k, workers, progress)
+    nodes = sum(r[1] for r in results)
 
-    founds = [(rank, res) for rank, res in ((r[1], r) for r in results) if rank is not None]
+    founds = [hit for r in results for hit in r[2]]
     if founds:
-        winner_rank, winner = min(founds, key=lambda x: x[0])
-        subset = winner[2]
+        winner_rank, subset = min(founds)
         tris = list(FIXED_TRIANGLES) + [cands[i] for i in subset]
         graph = union_of_triangles(n, tris)
         excess = 1 if count_triangles(graph) > t else 0
         return SearchReport(
-            spec, "counterexample", winner_rank + 1, excess, graph, winner_rank,
+            spec, "counterexample", winner_rank + 1, nodes, excess, graph, winner_rank,
             False, time.perf_counter() - started,
         )
 
@@ -556,7 +344,7 @@ def counterexample_search(
     if examined != total:
         raise AssertionError(f"exhausted scan examined {examined} of {total} subsets")
     return SearchReport(
-        spec, "exhausted", examined, 0, None, None, t > n * n // 8,
+        spec, "exhausted", examined, nodes, 0, None, None, t > n * n // 8,
         time.perf_counter() - started,
     )
 
@@ -672,9 +460,9 @@ def enumerate_extremal_configs(n: int, ex_value: int, workers: int = 1) -> list[
     forms: set[bytes] = set()
 
     if k <= len(cands):
-        _, results = _run_partitioned("collect", n, None, cands, k, workers)
-        for _, hits in results:
-            for subset in hits:
+        _, results = _run_partitioned(False, n, cands, k, workers)
+        for _, _, hits in results:
+            for _, subset in hits:
                 tris = list(FIXED_TRIANGLES) + [cands[i] for i in subset]
                 graph = union_of_triangles(n, tris)
                 if count_triangles(graph) == ex_value:

@@ -37,6 +37,8 @@ class TestSearchCommand:
         code, out, err = run_cli("search", "--n", "6", "--t", "6")
         assert code == 0
         assert "chunk" in err
+        assert "nodes visited" in err
+        assert "nodes" not in out.decode()  # worker-dependent, so never on stdout
         json.loads(out)  # stdout stays pure JSON
 
 

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,14 +27,36 @@ from p4hat import (
     small_extremal,
     union_of_triangles,
 )
-from p4hat.search import (
-    _base_state,
-    _candidate_edge_data,
-    _packed_has_suspension,
-    _packed_rows,
-    _packed_triangle_count,
-    _stride_for,
-)
+from p4hat.search import _edge_data, _scan
+
+# ex(n) for the sizes the unpruned reference scan can cover
+SMALL_EX = {5: 4, 6: 5, 7: 8}
+
+
+def _union(n, cands, subset):
+    return union_of_triangles(n, list(FIXED_TRIANGLES) + [cands[i] for i in subset])
+
+
+def _reference_hits(n, k):
+    """Unpruned reference: every k-subset in colex order, kept when its union
+    is p4hat-free, as (rank, subset) pairs."""
+    cands = candidate_triangles(n)
+    subsets = sorted(combinations(range(len(cands)), k), key=lambda s: s[::-1])
+    return [(rank, s) for rank, s in enumerate(subsets) if is_p4hat_free(_union(n, cands, s))]
+
+
+def _pruned_subtree(n, cands, k, rank):
+    """Rank interval of the shallowest node above ``rank`` whose union already
+    contains the pattern, or None if no node on that path does."""
+    subset = colex_unrank(rank, k)
+    base = 0
+    for j in range(k, 0, -1):
+        m = subset[j - 1]
+        a = base + comb(m, j)
+        if not is_p4hat_free(_union(n, cands, subset[j - 1:])):
+            return a, a + comb(m, j - 1)
+        base = a
+    return None
 
 
 class TestCandidates:
@@ -106,29 +129,77 @@ class TestColex:
             combination_rank_range(4, 2, 3, 3)
 
 
-class TestPackedMachinery:
-    def test_union_matches_reference(self):
-        rng = random.Random(82)
-        for n in (8, 10):
-            stride = _stride_for(n)
+class TestPrunedScan:
+    def test_matches_unpruned_reference(self):
+        for n, ex in SMALL_EX.items():
             cands = candidate_triangles(n)
-            data = _candidate_edge_data(n, stride, cands)
-            for _ in range(300):
-                subset = sorted(rng.sample(range(len(cands)), rng.randint(1, 6)))
-                counts, adj = _base_state(n, stride, FIXED_TRIANGLES)
-                for i in subset:
-                    e0, m0, e1, m1, e2, m2 = data[i]
-                    for e, mm in ((e0, m0), (e1, m1), (e2, m2)):
-                        if not counts[e]:
-                            adj |= mm
-                        counts[e] += 1
-                tris = list(FIXED_TRIANGLES) + [cands[i] for i in subset]
-                ref = union_of_triangles(n, tris)
-                assert _packed_rows(adj, n, stride, (1 << stride) - 1) == ref.adj
-                assert _packed_triangle_count(adj, n, stride, (1 << stride) - 1) == count_triangles(ref)
-                assert _packed_has_suspension(adj, n, stride, (1 << stride) - 1) == (
-                    not is_p4hat_free(ref)
-                )
+            for t in range(3, ex + 2):
+                k = t - 2
+                total = comb(len(cands), k)
+                ref = _reference_hits(n, k)
+                examined, _, hits = _scan(n, _edge_data(n, cands), k, 0, total, first=False)
+                assert (examined, hits) == (total, ref), (n, t)
+                report = counterexample_search(n, t)
+                if ref:
+                    rank, subset = ref[0]
+                    assert report.outcome == "counterexample", (n, t)
+                    assert report.counterexample_rank == rank
+                    assert report.graphs_examined == rank + 1
+                    assert report.counterexample == _union(n, cands, subset)
+                else:
+                    assert report.outcome == "exhausted", (n, t)
+                    assert report.graphs_examined == total
+                    assert report.counterexample_rank is None
+
+    def test_rank_windows_match_unrank_reference(self):
+        rng = random.Random(84)
+        cands = candidate_triangles(8)
+        cand_edges = _edge_data(8, cands)
+        windows = []
+        for t in (8, 9):
+            k = t - 2
+            total = comb(len(cands), k)
+            for _ in range(10):
+                lo = rng.randrange(total)
+                windows.append((k, lo, min(total, lo + rng.randint(1, 3000))))
+        # windows around (8,8)'s free unions, so hits fall inside some of them
+        k = 6
+        total = comb(len(cands), k)
+        _, _, free = _scan(8, cand_edges, k, 0, total, first=False)
+        for rank, _ in rng.sample(free, 4):
+            windows.append((k, max(0, rank - rng.randint(0, 1500)),
+                            min(total, rank + rng.randint(1, 1500))))
+        cut = with_hits = 0
+        for k, lo, hi in windows:
+            ref = []
+            for rank in range(lo, hi):
+                subset = colex_unrank(rank, k)
+                if is_p4hat_free(_union(8, cands, subset)):
+                    ref.append((rank, subset))
+            with_hits += bool(ref)
+            examined, _, hits = _scan(8, cand_edges, k, lo, hi, first=False)
+            assert (examined, hits) == (hi - lo, ref), (k, lo, hi)
+            examined, _, hits = _scan(8, cand_edges, k, lo, hi, first=True)
+            assert hits == ref[:1], (k, lo, hi)
+            assert examined == (ref[0][0] - lo + 1 if ref else hi - lo), (k, lo, hi)
+            for rank in (lo, hi - 1):
+                sub = _pruned_subtree(8, cands, k, rank)
+                cut += sub is not None and (sub[0] < lo or sub[1] > hi)
+        assert len(windows) >= 20 and with_hits >= 4
+        # at least half the window ends fall strictly inside a pruned subtree,
+        # so the kernel must count only that subtree's overlap with the window
+        assert cut >= len(windows), cut
+
+    def test_stop_rule(self):
+        cands = candidate_triangles(8)
+        cand_edges = _edge_data(8, cands)
+        rank = counterexample_search(8, 8).counterexample_rank
+        lo, hi = rank - 500, rank + 500
+        # another worker's hit at or above this window's least hit changes nothing
+        found = _scan(8, cand_edges, 6, lo, hi, True, SimpleNamespace(value=rank))
+        assert found[2] == [(rank, colex_unrank(rank, 6))]
+        # a hit below the window ends the walk before its first node
+        assert _scan(8, cand_edges, 6, lo, hi, True, SimpleNamespace(value=lo - 1)) == (0, 0, [])
 
 
 class TestCounterexampleSearch:
@@ -176,12 +247,18 @@ class TestCounterexampleSearch:
         assert len({(r.outcome, r.graphs_examined) for r in reports}) == 1
 
     def test_wide_stride_vertex_counts(self):
-        # n = 9 and n = 10 use 16-bit adjacency rows in the packed scan
+        # n = 9 and n = 10: the sizes above n = 8 that the search guard admits
         for n in (9, 10):
             report = counterexample_search(n, 3)
             assert report.outcome == "counterexample"
             assert is_p4hat_free(report.counterexample)
             assert count_triangles(report.counterexample) >= 3
+
+    def test_nodes_visited_sentinel(self):
+        # detector calls of the pruned scan with one worker; a change here
+        # means the pruning changed
+        assert counterexample_search(8, 9, workers=1).nodes_visited == 19921
+        assert counterexample_search(8, 8, workers=1).nodes_visited == 7778
 
     def test_visited_unions_carry_at_least_t_triangles(self):
         rng = random.Random(83)
