@@ -71,7 +71,6 @@ from .search import (
     candidate_triangles,
     colex_rank,
     colex_unrank,
-    combination_rank_range,
     counterexample_search,
     enumerate_extremal_configs,
     excluded_triangles,
@@ -117,7 +116,6 @@ __all__ = [
     "classify_block",
     "colex_rank",
     "colex_unrank",
-    "combination_rank_range",
     "complete",
     "contains_path4",
     "contains_suspension_p4",

@@ -12,15 +12,23 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from typing import Any, TextIO
+from typing import Any, Callable, TextIO
 
 from .blocks import decompose
 from .bounds import case_threshold_audit, floor_identity_audit
-from .canon import canonical_form
 from .constructions import FAMILIES
-from .graphs import Graph6Error, GraphError, GuardError, count_triangles, decode_graph6
+from .graphs import (
+    Graph,
+    Graph6Error,
+    GraphError,
+    GuardError,
+    count_triangles,
+    decode_graph6,
+    encode_graph6,
+)
 from .patterns import contains_suspension_p4
 from .search import counterexample_search, extremal_value
 
@@ -87,9 +95,7 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_FOUND if report.outcome == "counterexample" else EXIT_OK
 
 
-def _g6(g) -> str:
-    from .graphs import encode_graph6
-
+def _g6(g: Graph) -> str:
     return encode_graph6(g).decode("ascii")
 
 
@@ -104,7 +110,7 @@ def _cmd_extremal(args: argparse.Namespace, out: TextIO) -> int:
         "ex_value": value,
         "method": "exhaustive-enumeration" if args.n <= 7 else "pruned-search",
         "config_count": len(configs),
-        "configs": [canonical_form(g).decode("ascii") for g in configs],
+        "configs": [_g6(g) for g in configs],  # already in canonical form
     }
     _emit(doc, args, out)
     return EXIT_OK
@@ -151,17 +157,20 @@ def _cmd_verify_construction(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK if doc["passed"] else EXIT_FOUND
 
 
-def _iter_graph6_lines(stream: TextIO):
+def _cmd_stream(
+    args: argparse.Namespace,
+    out: TextIO,
+    stream: TextIO,
+    describe: Callable[[Graph], tuple[dict[str, Any], bool]],
+) -> int:
+    """Emit one line per non-blank graph6 input line: ``describe(graph)``'s
+    fields, or the decode error.  ``describe`` also says whether the graph
+    counts as found."""
+    errors = found = 0
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
-        yield lineno, line
-
-
-def _cmd_blocks(args: argparse.Namespace, out: TextIO, stream: TextIO) -> int:
-    errors = 0
-    for lineno, line in _iter_graph6_lines(stream):
         try:
             graph = decode_graph6(line)
         except Graph6Error as exc:
@@ -169,56 +178,33 @@ def _cmd_blocks(args: argparse.Namespace, out: TextIO, stream: TextIO) -> int:
             _emit_line({"line": lineno, "error": str(exc)}, args, out)
             errors += 1
             continue
-        dec = decompose(graph)
-        doc = {
-            "line": lineno,
-            "graph6": line,
-            "n": graph.n,
-            "blocks": [
-                {
-                    "kind": b.kind,
-                    "pages": b.pages,
-                    "vertices": list(b.vertices),
-                    "edges": [list(e) for e in b.edges],
-                }
-                for b in dec.blocks
-            ],
-            "stray_edges": [list(e) for e in dec.stray_edges],
-        }
-        _emit_line(doc, args, out)
-    return EXIT_STREAM_ERROR if errors else EXIT_OK
-
-
-def _cmd_witness(args: argparse.Namespace, out: TextIO, stream: TextIO) -> int:
-    errors = 0
-    found = 0
-    for lineno, line in _iter_graph6_lines(stream):
-        try:
-            graph = decode_graph6(line)
-        except Graph6Error as exc:
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-            _emit_line({"line": lineno, "error": str(exc)}, args, out)
-            errors += 1
-            continue
-        witness = contains_suspension_p4(graph)
-        if witness is None:
-            _emit_line({"line": lineno, "graph6": line, "status": "p4hat-free"}, args, out)
-        else:
-            found += 1
-            _emit_line(
-                {
-                    "line": lineno,
-                    "graph6": line,
-                    "status": "witness",
-                    "apex": witness.apex,
-                    "path": list(witness.path),
-                },
-                args,
-                out,
-            )
+        fields, hit = describe(graph)
+        found += hit
+        _emit_line({"line": lineno, "graph6": line, **fields}, args, out)
     if errors:
         return EXIT_STREAM_ERROR
     return EXIT_FOUND if found else EXIT_OK
+
+
+def _block_fields(graph: Graph) -> tuple[dict[str, Any], bool]:
+    dec = decompose(graph)
+    blocks = [
+        {
+            "kind": b.kind,
+            "pages": b.pages,
+            "vertices": list(b.vertices),
+            "edges": [list(e) for e in b.edges],
+        }
+        for b in dec.blocks
+    ]
+    return {"n": graph.n, "blocks": blocks, "stray_edges": [list(e) for e in dec.stray_edges]}, False
+
+
+def _witness_fields(graph: Graph) -> tuple[dict[str, Any], bool]:
+    witness = contains_suspension_p4(graph)
+    if witness is None:
+        return {"status": "p4hat-free"}, False
+    return {"status": "witness", "apex": witness.apex, "path": list(witness.path)}, True
 
 
 def _cmd_check_bounds(args: argparse.Namespace, out: TextIO) -> int:
@@ -255,8 +241,6 @@ def build_parser() -> _Parser:
     def common(p: _Parser) -> None:
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--output", default="-", help="output path, '-' for stdout")
-
-    import os
 
     default_workers = os.cpu_count() or 1
 
@@ -318,9 +302,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify-construction":
             return _cmd_verify_construction(args, out)
         if args.command == "blocks":
-            return _cmd_blocks(args, out, stream)
+            return _cmd_stream(args, out, stream, _block_fields)
         if args.command == "witness":
-            return _cmd_witness(args, out, stream)
+            return _cmd_stream(args, out, stream, _witness_fields)
         if args.command == "check-bounds":
             return _cmd_check_bounds(args, out)
         parser.error(f"unknown command {args.command!r}")

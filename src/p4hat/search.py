@@ -18,15 +18,19 @@ To certify that no n-vertex p4hat-free graph holds t or more triangles
   p4hat-free union is already a counterexample.  Exhausting all subsets
   certifies nonexistence.
 
-Subsets are enumerated in colexicographic rank order so the work splits
-into deterministic, worker-count-independent ranges.  The enumeration is a
-depth-first walk that adds one triangle per level, keeping the union's
-adjacency rows in place with per-edge multiplicity counters.  Containing
-the pattern is monotone under adding edges, so the walk tests the union at
-every node and skips the subtree below any node whose union already
-contains it; at n = 8, t = 9 this visits 19,921 nodes instead of testing
-12,620,256 leaves.  ``graphs_examined`` counts the ranks covered, pruned
-subtrees included, so an exhausted scan still accounts for every subset.
+Subsets are enumerated in colexicographic rank order.  The unit of work is
+one subtree: all subsets whose largest candidate is m, the rank block
+[C(m, k), C(m + 1, k)).  Subtrees are scanned in increasing m, by one
+process or a pool, and their results are read in that order; a "first"
+search stops reading at the first subtree with a hit, so every result is
+independent of the worker count.  Each subtree is a depth-first walk that
+adds one triangle per level, keeping the union's adjacency rows in place
+with per-edge multiplicity counters.  Containing the pattern is monotone
+under adding edges, so the walk tests the union at every node and skips the
+subtree below any node whose union already contains it; at n = 8, t = 9
+this visits 19,921 nodes instead of testing 12,620,256 leaves.
+``graphs_examined`` counts the ranks covered, pruned subtrees included, so
+an exhausted scan still accounts for every subset.
 
 The same scan in "collect" mode, filtered to unions with exactly
 t = ex(n) triangles, enumerates every extremal configuration that has two
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from math import comb
 from multiprocessing import get_context
@@ -55,7 +60,6 @@ from .graphs import (
     decode_graph6,
     edge_minimal_reduction,
     from_edges,
-    normalize_triangle,
     triangle_edges,
     union_of_triangles,
 )
@@ -66,26 +70,16 @@ SEARCH_MAX_VERTICES = 10
 EXHAUSTIVE_MAX_VERTICES = 7
 EXTREMAL_MAX_VERTICES = 8
 
-_STOP_SENTINEL = 1 << 62
-
 
 # -- candidate pool -----------------------------------------------------------
-
-def _check_fixed(fixed: Iterable[Iterable[int]]) -> tuple[Triangle, Triangle]:
-    norm = tuple(sorted(normalize_triangle(t) for t in fixed))
-    if norm != FIXED_TRIANGLES:
-        raise GuardError(f"unsupported fixed triangle set {norm}; only {FIXED_TRIANGLES}")
-    return FIXED_TRIANGLES
-
 
 _PRUNED_EDGES = frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})
 
 
-def excluded_triangles(n: int, fixed: Iterable[Iterable[int]] = FIXED_TRIANGLES) -> list[Triangle]:
+def excluded_triangles(n: int) -> list[Triangle]:
     """Triangles pruned next to the fixed pair: an edge in {02,03,12,13} plus
     a vertex outside the fixed-pair support always forces the forbidden
     pattern (4(n-4) triples; 16 for n = 8)."""
-    _check_fixed(fixed)
     if n < 5:
         raise GuardError(f"candidate pruning needs n >= 5, got {n}")
     out = []
@@ -97,11 +91,8 @@ def excluded_triangles(n: int, fixed: Iterable[Iterable[int]] = FIXED_TRIANGLES)
     return out
 
 
-def candidate_triangles(n: int, fixed: Iterable[Iterable[int]] = FIXED_TRIANGLES) -> list[Triangle]:
+def candidate_triangles(n: int) -> list[Triangle]:
     """Admissible triangles next to the fixed pair, in lexicographic order."""
-    _check_fixed(fixed)
-    if n < 5:
-        raise GuardError(f"candidate pruning needs n >= 5, got {n}")
     dropped = set(excluded_triangles(n)) | set(FIXED_TRIANGLES)
     return [tri for tri in combinations(range(n), 3) if tri not in dropped]
 
@@ -126,20 +117,6 @@ def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-def combination_rank_range(total: int, k: int, chunk: int, chunks: int) -> tuple[int, int]:
-    """Half-open colex rank range [lo, hi) of the given chunk.
-
-    Ranges are contiguous, disjoint, cover all comb(total, k) ranks, and
-    depend only on (total, k, chunks), never on scheduling.
-    """
-    if total < 0 or k < 0 or k > total:
-        raise GuardError(f"invalid subset space C({total}, {k})")
-    if chunks < 1 or not 0 <= chunk < chunks:
-        raise GuardError(f"chunk {chunk} outside 0..{chunks - 1}")
-    ranks = comb(total, k)
-    return ranks * chunk // chunks, ranks * (chunk + 1) // chunks
-
-
 # -- the pruned colex scan ------------------------------------------------------
 
 def _edge_data(n: int, tris: Sequence[Triangle]) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -147,27 +124,23 @@ def _edge_data(n: int, tris: Sequence[Triangle]) -> tuple[tuple[tuple[int, int, 
     return tuple(tuple((u * n + v, u, v) for u, v in triangle_edges(tri)) for tri in tris)
 
 
-def _scan(n, cand_edges, k, lo, hi, first, stop=None):
-    """Walk the k-subsets of candidates whose colex ranks lie in [lo, hi).
+def _scan(n, cand_edges, k, top, first):
+    """Walk the subtree of k-subsets of candidates whose largest element is
+    ``top``: the colex ranks [C(top, k), C(top + 1, k)).
 
     Subset elements are chosen from the largest down, so subsets are met in
     colex order: choosing element m at level j spans the ranks
     [base + C(m, j), base + C(m + 1, j)).  Every node's union (the fixed pair
     plus the triangles chosen so far) is tested; adding triangles never
     removes the pattern, so a node whose union contains it is skipped with
-    its whole subtree, and the subtree's ranks inside [lo, hi) still count
-    as examined.  A leaf whose union is p4hat-free is a hit.  ``first``
-    stops at the first hit; otherwise every hit is kept.
-
-    ``stop`` is an optional shared Value carrying the least hit rank found
-    by any worker; the walk ends once every rank it could still visit
-    exceeds it, which keeps the merged result identical for any worker
-    count.
+    its whole subtree, whose C(m, j - 1) ranks still count as examined.  A
+    leaf whose union is p4hat-free is a hit.  ``first`` stops at the first
+    hit; otherwise every hit is kept.
 
     Returns (examined, nodes, hits): ranks covered, detector calls, and the
     hits as (rank, sorted subset) pairs in colex order.
     """
-    combt = [[comb(m, j) for j in range(k + 1)] for m in range(len(cand_edges) + 1)]
+    combt = [[comb(m, j) for j in range(k + 1)] for m in range(top + 1)]
     cnt = [0] * (n * n)
     rows = [0] * n
 
@@ -184,25 +157,18 @@ def _scan(n, cand_edges, k, lo, hi, first, stop=None):
     hits: list[tuple[int, tuple[int, ...]]] = []
     examined = nodes = 0
 
-    def walk(j: int, cap: int, base: int) -> bool:
-        """Visit the children of one node; True once the whole walk must end."""
+    def walk(j: int, elements: Iterable[int], base: int) -> bool:
+        """Visit the given children of one node; True once the walk must end."""
         nonlocal examined, nodes
-        for m in range(j - 1, cap):
+        for m in elements:
             a = base + combt[m][j]
-            b = base + combt[m + 1][j]
-            if b <= lo:
-                continue
-            if a >= hi:
-                break
-            if stop is not None and stop.value < max(a, lo):
-                return True
             toggle(cand_edges[m], 1)
             chosen.append(m)
             nodes += 1
             if _rows_contain_suspension(rows, n):
-                examined += min(b, hi) - max(a, lo)
+                examined += combt[m][j - 1]
             elif j > 1:
-                if walk(j - 1, m, a):
+                if walk(j - 1, range(j - 2, m), a):
                     return True
             else:
                 examined += 1
@@ -213,50 +179,44 @@ def _scan(n, cand_edges, k, lo, hi, first, stop=None):
             toggle(cand_edges[m], -1)
         return False
 
-    if lo < hi:
-        walk(k, len(cand_edges), 0)
+    walk(k, (top,), 0)
     return examined, nodes, hits
 
 
-# -- worker plumbing -----------------------------------------------------------
+def _scan_subtrees(first, n, cands, k, workers, progress=None):
+    """Scan the subtrees of all C(len(cands), k) subsets in increasing order
+    of their largest element and return their ``_scan`` results in that order.
 
-_WORKER_STOP = None
+    One process scans them all when one suffices; otherwise a pool of at most
+    ``workers`` processes does, and its results are read in order.  In
+    "first" mode the read ends at the first subtree with a hit and the
+    subtrees not yet started are cancelled, so the results never depend on
+    the worker count.  ``progress(i, examined)`` is called as the result of
+    subtree i is read.
+    """
+    scan = partial(_scan, n, _edge_data(n, cands), k, first=first)
+    tops = range(k - 1, len(cands))
+    processes = min(workers, len(tops))
+    pool = None
+    if processes > 1:
+        # imported on first use, to keep its imports out of every CLI start-up
+        from concurrent.futures import ProcessPoolExecutor
 
-
-def _init_worker(stop):
-    global _WORKER_STOP
-    _WORKER_STOP = stop
-
-
-def _worker_scan(args):
-    first, n, cand_edges, k, lo, hi = args
-    stop = _WORKER_STOP
-    examined, nodes, hits = _scan(n, cand_edges, k, lo, hi, first, stop)
-    if first and hits and stop is not None:
-        with stop.get_lock():
-            if hits[0][0] < stop.value:
-                stop.value = hits[0][0]
-    return examined, nodes, hits
-
-
-def _run_partitioned(first, n, cands, k, workers, progress=None):
-    """Run a scan over all C(len(cands), k) ranks split across workers."""
-    cand_edges = _edge_data(n, cands)
-    total = comb(len(cands), k)
-    ranges = [combination_rank_range(len(cands), k, i, workers) for i in range(workers)]
-    args = [(first, n, cand_edges, k, lo, hi) for lo, hi in ranges]
-
-    if workers == 1:
-        results = [_worker_scan(args[0])]
-    else:
-        ctx = get_context("fork")
-        stop = ctx.Value("q", _STOP_SENTINEL) if first else None
-        with ctx.Pool(processes=workers, initializer=_init_worker, initargs=(stop,)) as pool:
-            results = pool.map(_worker_scan, args)
-    if progress is not None:
-        for i, res in enumerate(results):
-            progress(i, res[0])
-    return total, results
+        pool = ProcessPoolExecutor(processes, mp_context=get_context("fork"))
+    results = []
+    try:
+        for i, result in enumerate(pool.map(scan, tops) if pool else map(scan, tops)):
+            results.append(result)
+            if progress is not None:
+                progress(i, result[0])
+            if first and result[2]:
+                break
+    finally:
+        # Pool.terminate can deadlock on a worker killed mid-send, so running
+        # subtrees are left to finish rather than killed
+        if pool:
+            pool.shutdown(cancel_futures=True)
+    return results
 
 
 # -- public search operations ---------------------------------------------------
@@ -274,10 +234,9 @@ class SearchReport:
     """Outcome of a counterexample search.
 
     ``graphs_examined`` counts the colex ranks covered, pruned subtrees
-    included.  ``nodes_visited`` counts detector calls in the scan, summed
-    over workers; unlike every other field it depends on the worker count,
-    since each worker's rank range cuts the tree in its own places (and on
-    timing when several workers race to a counterexample).
+    included.  ``nodes_visited`` counts detector calls in the subtrees read,
+    up to and including the one that holds the counterexample.  Every field
+    except ``elapsed`` is independent of the worker count.
     """
 
     spec: SearchSpec
@@ -305,7 +264,7 @@ def counterexample_search(
     (reported as ``nonexistence_certified``).  A found union is returned as
     the counterexample with the least colex rank; ``graphs_examined`` is
     then the number of ranks up to and including it.  Every field but
-    ``nodes_visited`` and ``elapsed`` is identical for every worker count.
+    ``elapsed`` is identical for every worker count.
     """
     if not 5 <= n <= SEARCH_MAX_VERTICES:
         raise GuardError(f"counterexample_search supports 5 <= n <= {SEARCH_MAX_VERTICES}")
@@ -319,19 +278,11 @@ def counterexample_search(
     k = t - 2
     spec = SearchSpec(n=n, t=t, fixed=FIXED_TRIANGLES, candidates=tuple(cands))
 
-    if k > len(cands):
-        # no subsets exist; vacuously exhausted
-        return SearchReport(
-            spec, "exhausted", 0, 0, 0, None, None, t > n * n // 8,
-            time.perf_counter() - started,
-        )
-
-    total, results = _run_partitioned(True, n, cands, k, workers, progress)
+    results = _scan_subtrees(True, n, cands, k, workers, progress)
     nodes = sum(r[1] for r in results)
 
-    founds = [hit for r in results for hit in r[2]]
-    if founds:
-        winner_rank, subset = min(founds)
+    if results and results[-1][2]:
+        winner_rank, subset = results[-1][2][0]
         tris = list(FIXED_TRIANGLES) + [cands[i] for i in subset]
         graph = union_of_triangles(n, tris)
         excess = 1 if count_triangles(graph) > t else 0
@@ -341,6 +292,7 @@ def counterexample_search(
         )
 
     examined = sum(r[0] for r in results)
+    total = comb(len(cands), k)
     if examined != total:
         raise AssertionError(f"exhausted scan examined {examined} of {total} subsets")
     return SearchReport(
@@ -456,17 +408,14 @@ def enumerate_extremal_configs(n: int, ex_value: int, workers: int = 1) -> list[
         raise GuardError(f"worker count must be >= 1, got {workers}")
 
     cands = candidate_triangles(n)
-    k = ex_value - 2
     forms: set[bytes] = set()
 
-    if k <= len(cands):
-        _, results = _run_partitioned(False, n, cands, k, workers)
-        for _, _, hits in results:
-            for _, subset in hits:
-                tris = list(FIXED_TRIANGLES) + [cands[i] for i in subset]
-                graph = union_of_triangles(n, tris)
-                if count_triangles(graph) == ex_value:
-                    forms.add(canonical_form(graph))
+    for _, _, hits in _scan_subtrees(False, n, cands, ex_value - 2, workers):
+        for _, subset in hits:
+            tris = list(FIXED_TRIANGLES) + [cands[i] for i in subset]
+            graph = union_of_triangles(n, tris)
+            if count_triangles(graph) == ex_value:
+                forms.add(canonical_form(graph))
 
     for packing in _book1_packings(n, ex_value):
         graph = union_of_triangles(n, packing)

@@ -85,7 +85,7 @@ def test_search_scale():
 
 
 def test_candidate_pruning():
-    cands = candidate_triangles(8, ((0, 1, 2), (0, 1, 3)))
+    cands = candidate_triangles(8)
     excluded = excluded_triangles(8)
     ok = len(cands) == 38 and len(excluded) == 16
     _report(

@@ -1,7 +1,7 @@
 import random
+from concurrent import futures
 from itertools import combinations
 from math import comb
-from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +14,6 @@ from p4hat import (
     canonical_form,
     colex_rank,
     colex_unrank,
-    combination_rank_range,
     complete,
     count_triangles,
     counterexample_search,
@@ -27,7 +26,8 @@ from p4hat import (
     small_extremal,
     union_of_triangles,
 )
-from p4hat.search import _edge_data, _scan
+from p4hat import search
+from p4hat.search import _edge_data, _scan, _scan_subtrees
 
 # ex(n) for the sizes the unpruned reference scan can cover
 SMALL_EX = {5: 4, 6: 5, 7: 8}
@@ -43,20 +43,6 @@ def _reference_hits(n, k):
     cands = candidate_triangles(n)
     subsets = sorted(combinations(range(len(cands)), k), key=lambda s: s[::-1])
     return [(rank, s) for rank, s in enumerate(subsets) if is_p4hat_free(_union(n, cands, s))]
-
-
-def _pruned_subtree(n, cands, k, rank):
-    """Rank interval of the shallowest node above ``rank`` whose union already
-    contains the pattern, or None if no node on that path does."""
-    subset = colex_unrank(rank, k)
-    base = 0
-    for j in range(k, 0, -1):
-        m = subset[j - 1]
-        a = base + comb(m, j)
-        if not is_p4hat_free(_union(n, cands, subset[j - 1:])):
-            return a, a + comb(m, j - 1)
-        base = a
-    return None
 
 
 class TestCandidates:
@@ -85,10 +71,6 @@ class TestCandidates:
         assert (0, 1, 2) not in cands and (0, 1, 3) not in cands
         assert cands == sorted(cands)
 
-    def test_unsupported_fixed_set(self):
-        with pytest.raises(GuardError):
-            candidate_triangles(8, fixed=((0, 1, 2), (0, 2, 3)))
-
 
 class TestColex:
     def test_first_subset(self):
@@ -110,23 +92,11 @@ class TestColex:
         for rank, subset in enumerate(subsets):
             assert colex_rank(subset) == rank
 
-    def test_even_three_way_split(self):
-        ranges = [combination_rank_range(4, 2, i, 3) for i in range(3)]
-        assert ranges == [(0, 2), (2, 4), (4, 6)]
-
-    def test_ranges_cover_and_disjoint(self):
-        for chunks in (1, 2, 5, 8):
-            ranges = [combination_rank_range(21, 6, i, chunks) for i in range(chunks)]
-            assert ranges[0][0] == 0
-            assert ranges[-1][1] == comb(21, 6)
-            for (a, b), (c, d) in zip(ranges, ranges[1:]):
-                assert b == c
-
     def test_guards(self):
         with pytest.raises(GuardError):
-            combination_rank_range(4, 5, 0, 1)
+            colex_unrank(-1, 3)
         with pytest.raises(GuardError):
-            combination_rank_range(4, 2, 3, 3)
+            colex_unrank(0, -1)
 
 
 class TestPrunedScan:
@@ -137,7 +107,9 @@ class TestPrunedScan:
                 k = t - 2
                 total = comb(len(cands), k)
                 ref = _reference_hits(n, k)
-                examined, _, hits = _scan(n, _edge_data(n, cands), k, 0, total, first=False)
+                results = _scan_subtrees(False, n, cands, k, 1)
+                examined = sum(r[0] for r in results)
+                hits = [hit for r in results for hit in r[2]]
                 assert (examined, hits) == (total, ref), (n, t)
                 report = counterexample_search(n, t)
                 if ref:
@@ -151,55 +123,48 @@ class TestPrunedScan:
                     assert report.graphs_examined == total
                     assert report.counterexample_rank is None
 
-    def test_rank_windows_match_unrank_reference(self):
-        rng = random.Random(84)
+    def test_subtrees_match_unrank_reference(self):
+        # every subtree of at most C(14, 6) ranks, rank by rank; t = 7 adds
+        # small subtrees that hold hits
         cands = candidate_triangles(8)
         cand_edges = _edge_data(8, cands)
-        windows = []
-        for t in (8, 9):
+        checked = with_hits = 0
+        for t in (7, 8, 9):
             k = t - 2
-            total = comb(len(cands), k)
-            for _ in range(10):
-                lo = rng.randrange(total)
-                windows.append((k, lo, min(total, lo + rng.randint(1, 3000))))
-        # windows around (8,8)'s free unions, so hits fall inside some of them
-        k = 6
-        total = comb(len(cands), k)
-        _, _, free = _scan(8, cand_edges, k, 0, total, first=False)
-        for rank, _ in rng.sample(free, 4):
-            windows.append((k, max(0, rank - rng.randint(0, 1500)),
-                            min(total, rank + rng.randint(1, 1500))))
-        cut = with_hits = 0
-        for k, lo, hi in windows:
-            ref = []
-            for rank in range(lo, hi):
-                subset = colex_unrank(rank, k)
-                if is_p4hat_free(_union(8, cands, subset)):
-                    ref.append((rank, subset))
-            with_hits += bool(ref)
-            examined, _, hits = _scan(8, cand_edges, k, lo, hi, first=False)
-            assert (examined, hits) == (hi - lo, ref), (k, lo, hi)
-            examined, _, hits = _scan(8, cand_edges, k, lo, hi, first=True)
-            assert hits == ref[:1], (k, lo, hi)
-            assert examined == (ref[0][0] - lo + 1 if ref else hi - lo), (k, lo, hi)
-            for rank in (lo, hi - 1):
-                sub = _pruned_subtree(8, cands, k, rank)
-                cut += sub is not None and (sub[0] < lo or sub[1] > hi)
-        assert len(windows) >= 20 and with_hits >= 4
-        # at least half the window ends fall strictly inside a pruned subtree,
-        # so the kernel must count only that subtree's overlap with the window
-        assert cut >= len(windows), cut
+            covered = 0
+            for top in range(k - 1, len(cands)):
+                lo, hi = comb(top, k), comb(top + 1, k)
+                examined, _, hits = _scan(8, cand_edges, k, top, first=False)
+                covered += examined
+                if hi - lo > comb(14, 6):
+                    continue
+                ref = []
+                for rank in range(lo, hi):
+                    subset = colex_unrank(rank, k)
+                    if is_p4hat_free(_union(8, cands, subset)):
+                        ref.append((rank, subset))
+                assert (examined, hits) == (hi - lo, ref), (k, top)
+                examined, _, hits = _scan(8, cand_edges, k, top, first=True)
+                assert hits == ref[:1], (k, top)
+                assert examined == (ref[0][0] - lo + 1 if ref else hi - lo), (k, top)
+                checked += 1
+                with_hits += bool(ref)
+            assert covered == comb(len(cands), k), k
+        assert checked == 34 and with_hits == 5
 
     def test_stop_rule(self):
+        # "first" mode ends the ordered read at the first subtree with a hit,
+        # whatever the worker count
         cands = candidate_triangles(8)
-        cand_edges = _edge_data(8, cands)
-        rank = counterexample_search(8, 8).counterexample_rank
-        lo, hi = rank - 500, rank + 500
-        # another worker's hit at or above this window's least hit changes nothing
-        found = _scan(8, cand_edges, 6, lo, hi, True, SimpleNamespace(value=rank))
-        assert found[2] == [(rank, colex_unrank(rank, 6))]
-        # a hit below the window ends the walk before its first node
-        assert _scan(8, cand_edges, 6, lo, hi, True, SimpleNamespace(value=lo - 1)) == (0, 0, [])
+        collect = _scan_subtrees(False, 8, cands, 6, 1)
+        i = next(i for i, r in enumerate(collect) if r[2])
+        rank, subset = collect[i][2][0]
+        for workers in (1, 2):
+            first = _scan_subtrees(True, 8, cands, 6, workers)
+            assert len(first) == i + 1
+            assert first[:i] == collect[:i]
+            assert first[i][2] == [(rank, subset)]
+            assert first[i][0] == rank - comb(i + 5, 6) + 1
 
 
 class TestCounterexampleSearch:
@@ -219,6 +184,9 @@ class TestCounterexampleSearch:
         assert report.outcome == "exhausted"
         assert report.graphs_examined == comb(4, 3)
         assert report.nonexistence_certified  # 5 > floor(25/8) = 3
+        # beyond the 4 candidates no subset exists: vacuously exhausted
+        report = counterexample_search(5, 7)
+        assert (report.outcome, report.graphs_examined, report.nodes_visited) == ("exhausted", 0, 0)
 
     def test_6_6_exhausted(self):
         report = counterexample_search(6, 6)
@@ -255,10 +223,51 @@ class TestCounterexampleSearch:
             assert count_triangles(report.counterexample) >= 3
 
     def test_nodes_visited_sentinel(self):
-        # detector calls of the pruned scan with one worker; a change here
-        # means the pruning changed
-        assert counterexample_search(8, 9, workers=1).nodes_visited == 19921
-        assert counterexample_search(8, 8, workers=1).nodes_visited == 7778
+        # detector calls of the pruned scan; a change here means the pruning
+        # changed
+        for workers in (1, 2, 8):
+            assert counterexample_search(8, 9, workers=workers).nodes_visited == 19921
+            assert counterexample_search(8, 8, workers=workers).nodes_visited == 7778
+
+    def test_progress_is_live_and_in_subtree_order(self, monkeypatch):
+        # (7, 9) exhausts, so subtree i (largest candidate i + 6) reports its
+        # whole rank block C(i + 6, 6)
+        expected = [(i, comb(m, 6)) for i, m in enumerate(range(6, 21))]
+        calls = []
+        counterexample_search(7, 9, workers=2, progress=lambda i, e: calls.append((i, e)))
+        assert calls == expected
+        # in one process each subtree's progress comes before the next scan
+        events = []
+        scan = search._scan
+
+        def logged_scan(*args, **kwargs):
+            events.append("scan")
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_scan", logged_scan)
+        counterexample_search(7, 9, progress=lambda i, e: events.append((i, e)))
+        assert events == [x for call in expected for x in ("scan", call)]
+
+    def test_pool_size(self, monkeypatch):
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, processes, mp_context):
+                requested.append(processes)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self, cancel_futures):
+                pass
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+        counterexample_search(5, 5, workers=8)  # 2 subtrees
+        counterexample_search(5, 6, workers=8)  # 1 subtree: no pool
+        counterexample_search(7, 9, workers=1)  # 15 subtrees, one worker: no pool
+        counterexample_search(7, 9, workers=64)
+        enumerate_extremal_configs(7, 8, workers=3)  # 16 subtrees
+        assert requested == [2, 15, 3]
 
     def test_visited_unions_carry_at_least_t_triangles(self):
         rng = random.Random(83)
