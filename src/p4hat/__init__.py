@@ -23,7 +23,6 @@ from .bounds import (
     FloorIdentityReport,
     K4NeighborhoodReport,
     case_threshold_audit,
-    find_k4,
     floor_identity_audit,
     neighborhood_structure,
 )
@@ -53,6 +52,7 @@ from .graphs import (
     edge_minimal_reduction,
     encode_graph6,
     enumerate_triangles,
+    find_k4,
     from_edges,
     neighborhood_subgraph,
     union_of_triangles,

@@ -24,6 +24,7 @@ from .graphs import (
     Triangle,
     count_triangles,
     enumerate_triangles,
+    find_k4,
     from_edges,
     triangle_edges,
 )
@@ -135,8 +136,6 @@ def decompose(g: Graph) -> BlockDecomposition:
 
 
 def _require_k4_free_p4hat_free(g: Graph) -> None:
-    from .bounds import find_k4  # deferred: bounds imports nothing from here
-
     quad = find_k4(g)
     if quad is not None:
         raise BlockPreconditionError(f"graph contains a K4 on {quad}", k4=quad)

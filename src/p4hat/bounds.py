@@ -14,25 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .blocks import decompose
 from .graphs import Graph, GuardError, _bits, enumerate_triangles
 from .patterns import _mask_has_path4
-
-
-def find_k4(g: Graph) -> tuple[int, int, int, int] | None:
-    """Lexicographically least 4-set of vertices inducing a K4, or None."""
-    adj = g.adj
-    for a in range(g.n):
-        ra_hi = adj[a] >> (a + 1) << (a + 1)
-        for b in _bits(ra_hi):
-            comm_ab = ra_hi & adj[b] >> (b + 1) << (b + 1)
-            for c in _bits(comm_ab):
-                comm = comm_ab & adj[c] >> (c + 1) << (c + 1)
-                if comm:
-                    return a, b, c, (comm & -comm).bit_length() - 1
-    return None
 
 
 @dataclass(frozen=True)
@@ -158,14 +142,14 @@ def floor_identity_audit(n_max: int) -> FloorIdentityReport:
     """
     if n_max < 12:
         raise GuardError(f"floor_identity_audit needs n_max >= 12, got {n_max}")
-    n = np.arange(12, n_max + 1, dtype=np.int64)
-    cap = n * n // 8
-    drop1_ok = cap - (n - 1) ** 2 // 8 >= n // 4
-    drop4_ok = cap - (n - 4) ** 2 // 8 == n - 2
-    ok = drop1_ok & drop4_ok
-    if bool(ok.all()):
-        return FloorIdentityReport(12, n_max, True, None)
-    return FloorIdentityReport(12, n_max, False, int(n[~ok][0]))
+    # c_j = floor((n-j)^2/8), kept as a window that slides with n
+    c4, c3, c2, c1 = (m * m // 8 for m in range(8, 12))
+    for n in range(12, n_max + 1):
+        c0 = n * n // 8
+        if c0 - c1 < n // 4 or c0 - c4 != n - 2:
+            return FloorIdentityReport(12, n_max, False, n)
+        c4, c3, c2, c1 = c3, c2, c1, c0
+    return FloorIdentityReport(12, n_max, True, None)
 
 
 @dataclass(frozen=True)

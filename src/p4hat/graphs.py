@@ -154,6 +154,20 @@ def enumerate_triangles(g: Graph) -> list[Triangle]:
     return out
 
 
+def find_k4(g: Graph) -> tuple[int, int, int, int] | None:
+    """Lexicographically least 4-set of vertices inducing a K4, or None."""
+    adj = g.adj
+    for a in range(g.n):
+        ra_hi = adj[a] >> (a + 1) << (a + 1)
+        for b in _bits(ra_hi):
+            comm_ab = ra_hi & adj[b] >> (b + 1) << (b + 1)
+            for c in _bits(comm_ab):
+                comm = comm_ab & adj[c] >> (c + 1) << (c + 1)
+                if comm:
+                    return a, b, c, (comm & -comm).bit_length() - 1
+    return None
+
+
 def edge_minimal_reduction(g: Graph) -> Graph:
     """Delete every edge that lies in no triangle.
 

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from math import comb
-from multiprocessing import get_context
 from typing import Callable, Iterable, Sequence
 
 from .canon import canonical_form
@@ -201,6 +200,7 @@ def _scan_subtrees(first, n, cands, k, workers, progress=None):
     if processes > 1:
         # imported on first use, to keep its imports out of every CLI start-up
         from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
 
         pool = ProcessPoolExecutor(processes, mp_context=get_context("fork"))
     results = []

@@ -12,6 +12,7 @@ from p4hat import (
     complete,
     count_triangles,
     decompose,
+    find_k4,
     from_edges,
     is_p4hat_free,
     small_extremal,
@@ -120,8 +121,6 @@ class TestBaseEdgeReduction:
         assert info.value.k4 is None
 
     def test_invariants_on_sampled_free_graphs(self):
-        from p4hat.bounds import find_k4
-
         rng = random.Random(72)
         for g in sample_p4hat_free(rng, 400, n_max=12):
             if find_k4(g) is not None:

@@ -121,8 +121,11 @@ class TestFloorIdentities:
         assert cap(13) - cap(9) == 11 == 13 - 2
 
     def test_audit_10k(self):
-        report = floor_identity_audit(10_000)
-        assert report.ok and report.first_violation is None
+        # 12..16 cover the start of the audit's sliding window
+        for n_max in (12, 13, 15, 16, 10_000):
+            report = floor_identity_audit(n_max)
+            assert (report.n_min, report.n_max) == (12, n_max)
+            assert report.ok and report.first_violation is None
 
     def test_guard(self):
         with pytest.raises(GuardError):

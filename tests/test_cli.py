@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 from p4hat import book, complete, encode_graph6, sixteen_vertex
 from conftest import run_cli
@@ -133,6 +135,16 @@ class TestCheckBounds:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert doc["floor_identities"]["ok"] is True
+
+
+class TestStartup:
+    def test_cli_import_loads_no_numpy_or_multiprocessing(self):
+        # every command pays for what importing the CLI loads; the pool's
+        # modules are imported only when a search forks one
+        code = "import p4hat.cli, sys; print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestDeterminism:
