@@ -8,6 +8,9 @@ triangles that force the pattern, and scan unions of candidate subsets,
 skipping every subtree whose partial union already contains the pattern.
 Exhausting the t = 9 scan certifies ex(8) <= 8; the bipartite+matching
 construction realizes 8.
+The extremal configurations come from the same scan at t = 8 alone: by
+Mantel's theorem an 8-vertex graph whose triangles are pairwise
+edge-disjoint has at most 7 of them, so such graphs need no enumeration.
 """
 
 import time

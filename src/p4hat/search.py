@@ -33,10 +33,12 @@ this visits 19,921 nodes instead of testing 12,620,256 leaves.
 an exhausted scan still accounts for every subset.
 
 The same scan in "collect" mode, filtered to unions with exactly
-t = ex(n) triangles, enumerates every extremal configuration that has two
-triangles sharing an edge; configurations whose triangles are pairwise
-edge-disjoint are enumerated separately as triangle packings.  An
-exhaustive oracle over all labeled graphs covers n <= 7.
+t = ex(n) triangles, enumerates every extremal configuration with two
+triangles sharing an edge, and there is no other once 2t >= floor(n^2/4):
+dropping one edge from each of t pairwise edge-disjoint triangles leaves a
+triangle-free graph with >= 2t edges, which Mantel caps at floor(n^2/4),
+with equality only for K_{floor(n/2),ceil(n/2)}, where a dropped edge lies
+in floor(n/2) >= 2 triangles.  An oracle over all labeled graphs covers n <= 7.
 """
 
 from __future__ import annotations
@@ -345,65 +347,23 @@ def exhaustive_oracle(n: int) -> tuple[int, list[Graph]]:
     return best, [decode_graph6(f) for f in sorted(forms)]
 
 
-def _book1_packings(n: int, size: int) -> list[list[Triangle]]:
-    """All sets of ``size`` pairwise edge-disjoint triangles on n vertices.
-
-    Edges are decided in lexicographic order: each is either covered by a
-    chosen triangle or left unused, with the unused budget capped by the
-    edge count, so every packing is produced exactly once.
-    """
-    edges = list(combinations(range(n), 2))
-    m = len(edges)
-    max_holes = m - 3 * size
-    if max_holes < 0:
-        return []
-    eidx = {e: i for i, e in enumerate(edges)}
-    tris_by_first: list[list[tuple[Triangle, tuple[int, int, int]]]] = [[] for _ in range(m)]
-    for tri in combinations(range(n), 3):
-        a, b, c = tri
-        ids = (eidx[(a, b)], eidx[(a, c)], eidx[(b, c)])
-        tris_by_first[ids[0]].append((tri, ids))
-
-    state = [0] * m  # 0 undecided, 1 in a triangle, 2 unused
-    chosen: list[Triangle] = []
-    out: list[list[Triangle]] = []
-
-    def go(i: int, placed: int, holes: int) -> None:
-        while i < m and state[i]:
-            i += 1
-        if i == m:
-            if placed == size:
-                out.append(list(chosen))
-            return
-        if holes < max_holes:
-            state[i] = 2
-            go(i + 1, placed, holes + 1)
-            state[i] = 0
-        if placed < size:
-            for tri, ids in tris_by_first[i]:
-                if not state[ids[1]] and not state[ids[2]]:
-                    state[ids[0]] = state[ids[1]] = state[ids[2]] = 1
-                    chosen.append(tri)
-                    go(i + 1, placed + 1, holes)
-                    chosen.pop()
-                    state[ids[0]] = state[ids[1]] = state[ids[2]] = 0
-
-    go(0, 0, 0)
-    return out
-
-
 def enumerate_extremal_configs(n: int, ex_value: int, workers: int = 1) -> list[Graph]:
     """All extremal configurations with exactly ``ex_value`` triangles.
 
-    Configurations with two triangles sharing an edge come from the seeded
-    subset scan (exact-count filtered); configurations whose triangles are
-    pairwise edge-disjoint come from triangle packings.  The result is
-    edge-minimal, deduplicated by canonical form, and sorted by it.
+    Every configuration with two triangles sharing an edge comes from the
+    seeded subset scan, filtered to exactly ``ex_value`` triangles; the
+    result is edge-minimal, deduplicated by canonical form, and sorted.
+
+    The guard 2 * ex_value >= floor(n^2/4) leaves no other kind.  Removing
+    one edge from each of t pairwise edge-disjoint triangles leaves a
+    triangle-free graph with at least 2t edges, so 2t <= floor(n^2/4)
+    (Mantel).  Equality forces K_{floor(n/2),ceil(n/2)}; each removed edge
+    lies inside one part, so in >= floor(n/2) >= 2 triangles: not disjoint.
     """
     if not 5 <= n <= EXTREMAL_MAX_VERTICES:
         raise GuardError(f"config enumeration supports 5 <= n <= {EXTREMAL_MAX_VERTICES}")
-    if ex_value < 3:
-        raise GuardError(f"ex_value must be >= 3, got {ex_value}")
+    if 2 * ex_value < n * n // 4:
+        raise GuardError(f"config enumeration needs 2 * ex_value >= {n * n // 4}, got {ex_value}")
     if workers < 1:
         raise GuardError(f"worker count must be >= 1, got {workers}")
 
@@ -416,11 +376,6 @@ def enumerate_extremal_configs(n: int, ex_value: int, workers: int = 1) -> list[
             graph = union_of_triangles(n, tris)
             if count_triangles(graph) == ex_value:
                 forms.add(canonical_form(graph))
-
-    for packing in _book1_packings(n, ex_value):
-        graph = union_of_triangles(n, packing)
-        if count_triangles(graph) == ex_value and not _rows_contain_suspension(graph.adj, n):
-            forms.add(canonical_form(graph))
 
     return [decode_graph6(f) for f in sorted(forms)]
 

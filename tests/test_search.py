@@ -314,14 +314,22 @@ class TestOracle:
 
 class TestExtremal:
     def test_pipeline_matches_oracle(self):
-        # completeness anchor: the seeded-scan + packing pipeline agrees with
-        # the full enumeration oracle wherever both run
+        # completeness anchor: the collect scan agrees with the full
+        # enumeration oracle wherever both run
         for n in (5, 6, 7):
             value, oracle_configs = exhaustive_oracle(n)
             pipeline = enumerate_extremal_configs(n, value)
             assert [canonical_form(g) for g in pipeline] == [
                 canonical_form(g) for g in oracle_configs
             ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_n8_configs(self, workers):
+        value, configs = extremal_value(8, workers=workers)
+        assert value == 8
+        assert [canonical_form(g).decode() for g in configs] == [
+            "G?~vno", "G@LAJ{", "GJ]CKK"
+        ]
 
     def test_extremal_value_small(self):
         assert extremal_value(4)[0] == 4
@@ -333,3 +341,8 @@ class TestExtremal:
             extremal_value(9)
         with pytest.raises(GuardError):
             extremal_value(8, workers=0)
+        # 2 * ex_value < floor(n^2/4): a config could be an edge-disjoint packing
+        for n, ex_value in ((8, 7), (6, 4)):
+            with pytest.raises(GuardError):
+                enumerate_extremal_configs(n, ex_value)
+        enumerate_extremal_configs(7, 6)  # equality case, 2 * 6 == floor(49/4)
