@@ -67,7 +67,6 @@ from .patterns import (
 from .search import (
     FIXED_TRIANGLES,
     SearchReport,
-    SearchSpec,
     candidate_triangles,
     colex_rank,
     colex_unrank,
@@ -100,7 +99,6 @@ __all__ = [
     "K4NeighborhoodReport",
     "LoopEdgeError",
     "SearchReport",
-    "SearchSpec",
     "SuspensionWitness",
     "Triangle",
     "VertexCountError",

@@ -11,10 +11,12 @@ carries ``schema_version``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 import time
+from functools import partial
 from typing import Any, Callable, TextIO
 
 from .blocks import decompose
@@ -30,7 +32,12 @@ from .graphs import (
     encode_graph6,
 )
 from .patterns import contains_suspension_p4
-from .search import counterexample_search, extremal_value
+from .search import (
+    EXHAUSTIVE_MAX_VERTICES,
+    candidate_triangles,
+    counterexample_search,
+    extremal_value,
+)
 
 SCHEMA_VERSION = 1
 
@@ -78,7 +85,7 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
         "command": "search",
         "n": args.n,
         "t": args.t,
-        "candidate_count": len(report.spec.candidates),
+        "candidate_count": len(candidate_triangles(args.n)),
         "subset_size": args.t - 2,
         "outcome": report.outcome,
         "graphs_examined": report.graphs_examined,
@@ -108,7 +115,8 @@ def _cmd_extremal(args: argparse.Namespace, out: TextIO) -> int:
         "command": "extremal",
         "n": args.n,
         "ex_value": value,
-        "method": "exhaustive-enumeration" if args.n <= 7 else "pruned-search",
+        "method": ("exhaustive-enumeration" if args.n <= EXHAUSTIVE_MAX_VERTICES
+                   else "pruned-search"),
         "config_count": len(configs),
         "configs": [_g6(g) for g in configs],  # already in canonical form
     }
@@ -123,15 +131,14 @@ def _cmd_verify_construction(args: argparse.Namespace, out: TextIO) -> int:
         if args.family != "sixteen-vertex":
             raise GuardError(f"--n is required for family {args.family} ({family.parameter})")
         n = 16
-    if not family.valid(n):
-        raise GuardError(f"family {args.family} expects {family.parameter}, got {n}")
     graph = family.build(n)
     expected = family.expected_triangles(n)
     triangles = count_triangles(graph)
     witness = contains_suspension_p4(graph)
+    expected_free = family.p4hat_free(n)
     checks = {
         "triangles_match": triangles == expected,
-        "p4hat_free_match": (witness is None) == family.p4hat_free,
+        "p4hat_free_match": (witness is None) == expected_free,
     }
     doc: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
@@ -143,7 +150,7 @@ def _cmd_verify_construction(args: argparse.Namespace, out: TextIO) -> int:
         "triangles": triangles,
         "expected_triangles": expected,
         "p4hat_free": witness is None,
-        "expected_p4hat_free": family.p4hat_free,
+        "expected_p4hat_free": expected_free,
     }
     if args.family == "sixteen-vertex":
         kinds = decompose(graph).kinds()
@@ -158,16 +165,15 @@ def _cmd_verify_construction(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_stream(
+    describe: Callable[[Graph], tuple[dict[str, Any], bool]],
     args: argparse.Namespace,
     out: TextIO,
-    stream: TextIO,
-    describe: Callable[[Graph], tuple[dict[str, Any], bool]],
 ) -> int:
-    """Emit one line per non-blank graph6 input line: ``describe(graph)``'s
-    fields, or the decode error.  ``describe`` also says whether the graph
-    counts as found."""
+    """Emit one line per non-blank graph6 line of the binary stream
+    ``args.input``: ``describe(graph)``'s fields, or the decode error.
+    ``describe`` also says whether the graph counts as found."""
     errors = found = 0
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in enumerate(args.input, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -180,7 +186,7 @@ def _cmd_stream(
             continue
         fields, hit = describe(graph)
         found += hit
-        _emit_line({"line": lineno, "graph6": line, **fields}, args, out)
+        _emit_line({"line": lineno, "graph6": line.decode("ascii"), **fields}, args, out)
     if errors:
         return EXIT_STREAM_ERROR
     return EXIT_FOUND if found else EXIT_OK
@@ -238,85 +244,66 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="p4hat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
-        p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--output", default="-", help="output path, '-' for stdout")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--format", choices=("json", "text"), default="json")
+    output.add_argument("--output", default="-", help="output path, '-' for stdout")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+                         help="parallel workers (default: available parallelism)")
+    stream = argparse.ArgumentParser(add_help=False)
+    stream.add_argument("--input", default="-", help="input path, '-' for stdin")
 
-    default_workers = os.cpu_count() or 1
+    def command(name: str, summary: str, run: Callable[..., int],
+                *shared: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[*shared, output])
+        p.set_defaults(run=run)
+        return p
 
-    p = sub.add_parser("search", help="pruned subset search for (n, t)")
+    p = command("search", "pruned subset search for (n, t)", _cmd_search, workers)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--workers", type=int, default=default_workers,
-                   help="parallel workers (default: available parallelism)")
-    common(p)
 
-    p = sub.add_parser("extremal", help="extremal value and configurations")
+    p = command("extremal", "extremal value and configurations", _cmd_extremal, workers)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=default_workers,
-                   help="parallel workers (default: available parallelism)")
-    common(p)
 
-    p = sub.add_parser("verify-construction", help="check a lower-bound family")
+    p = command("verify-construction", "check a lower-bound family", _cmd_verify_construction)
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--emit-graph6", action="store_true")
-    common(p)
 
-    p = sub.add_parser("blocks", help="triangle-block decomposition of graph6 lines")
-    p.add_argument("--input", default="-", help="input path, '-' for stdin")
-    common(p)
+    command("blocks", "triangle-block decomposition of graph6 lines",
+            partial(_cmd_stream, _block_fields), stream)
+    command("witness", "forbidden-pattern witnesses for graph6 lines",
+            partial(_cmd_stream, _witness_fields), stream)
 
-    p = sub.add_parser("witness", help="forbidden-pattern witnesses for graph6 lines")
-    p.add_argument("--input", default="-", help="input path, '-' for stdin")
-    common(p)
-
-    p = sub.add_parser("check-bounds", help="floor identities and case thresholds")
+    p = command("check-bounds", "floor identities and case thresholds", _cmd_check_bounds)
     p.add_argument("--n-max", type=int, default=1000000)
-    common(p)
 
     return parser
 
 
+def _fail(args: argparse.Namespace, exc: Exception) -> int:
+    print(f"p4hat {args.command}: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    out: TextIO = sys.stdout
-    close_out = False
-    if getattr(args, "output", "-") != "-":
-        out = open(args.output, "w", encoding="ascii")
-        close_out = True
-
-    stream: TextIO = sys.stdin
-    close_stream = False
-    if getattr(args, "input", "-") != "-":
-        stream = open(args.input, "r", encoding="ascii")
-        close_stream = True
-
-    try:
-        if args.command == "search":
-            return _cmd_search(args, out)
-        if args.command == "extremal":
-            return _cmd_extremal(args, out)
-        if args.command == "verify-construction":
-            return _cmd_verify_construction(args, out)
-        if args.command == "blocks":
-            return _cmd_stream(args, out, stream, _block_fields)
-        if args.command == "witness":
-            return _cmd_stream(args, out, stream, _witness_fields)
-        if args.command == "check-bounds":
-            return _cmd_check_bounds(args, out)
-        parser.error(f"unknown command {args.command!r}")
-        return EXIT_USAGE
-    except (GuardError, GraphError) as exc:
-        print(f"p4hat {args.command}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
-        if close_out:
-            out.close()
-        if close_stream:
-            stream.close()
+    args = build_parser().parse_args(argv)
+    with contextlib.ExitStack() as files:
+        try:
+            # input first, so a missing input leaves no empty output file;
+            # stream commands read bytes, so any line can be reported as malformed
+            if "input" in args:
+                args.input = (sys.stdin.buffer if args.input == "-"
+                              else files.enter_context(open(args.input, "rb")))
+            out: TextIO = (sys.stdout if args.output == "-"
+                           else files.enter_context(open(args.output, "w", encoding="ascii")))
+        except OSError as exc:
+            return _fail(args, exc)
+        try:
+            return args.run(args, out)
+        except (GuardError, GraphError) as exc:
+            return _fail(args, exc)
 
 
 if __name__ == "__main__":

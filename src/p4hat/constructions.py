@@ -8,7 +8,7 @@ whether it is p4hat-free, so constructions can be verified mechanically
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 from typing import Callable
 
@@ -32,8 +32,9 @@ def bipartite_matching(n: int) -> Graph:
         a = n // 2 + 1  # the even part of the balanced odd split
     else:
         a = n // 2  # n % 4 in {0, 1}: floor(n/2) is even
-    edges: list[Edge] = [(u, v) for u in range(a) for v in range(a, n)]
-    edges.extend((u, u + 1) for u in range(0, a - 1, 2))
+    # a generator, so from_edges checks n before any edge is built
+    edges = chain(((u, v) for u in range(a) for v in range(a, n)),
+                  ((u, u + 1) for u in range(0, a - 1, 2)))
     return from_edges(n, edges)
 
 
@@ -74,69 +75,59 @@ def book(s: int) -> Graph:
     """s triangles sharing the base edge (0, 1); pages are vertices 2..s+1."""
     if s < 1:
         raise GraphError(f"book needs s >= 1, got {s}")
-    edges = [(0, 1)]
-    for p in range(2, s + 2):
-        edges += [(0, p), (1, p)]
-    return from_edges(s + 2, edges)
+    edges = chain([(0, 1)], ((u, p) for p in range(2, s + 2) for u in (0, 1)))
+    return from_edges(s + 2, edges)  # checks s + 2 before any edge is built
 
 
 def complete(k: int) -> Graph:
     if k < 1:
         raise GraphError(f"complete needs k >= 1, got {k}")
-    return from_edges(k, combinations(range(k), 2))
+    # not combinations(range(k), 2), which would copy range(k) up front
+    return from_edges(k, ((u, v) for v in range(k) for u in range(v)))
 
 
 @dataclass(frozen=True)
 class ConstructionFamily:
-    """A named generator with its certified triangle count and freeness claim."""
+    """A generator with its certified triangle count and freeness claim.
 
-    name: str
+    ``build`` raises GraphError on a parameter outside its range.
+    """
+
     build: Callable[[int], Graph]
     expected_triangles: Callable[[int], int]
-    p4hat_free: bool
+    p4hat_free: Callable[[int], bool]
     parameter: str  # meaning of the integer argument
-    valid: Callable[[int], bool]
 
 
 FAMILIES: dict[str, ConstructionFamily] = {
     "bipartite-matching": ConstructionFamily(
-        name="bipartite-matching",
         build=bipartite_matching,
         expected_triangles=lambda n: n * n // 8,
-        p4hat_free=True,
+        p4hat_free=lambda n: True,
         parameter="vertex count n >= 4",
-        valid=lambda n: n >= 4,
     ),
     "small-extremal": ConstructionFamily(
-        name="small-extremal",
         build=small_extremal,
         expected_triangles=lambda n: {4: 4, 5: 4, 6: 5, 7: 8}[n],
-        p4hat_free=True,
+        p4hat_free=lambda n: True,
         parameter="vertex count n in 4..7",
-        valid=lambda n: 4 <= n <= 7,
     ),
     "sixteen-vertex": ConstructionFamily(
-        name="sixteen-vertex",
         build=lambda n: sixteen_vertex(),
         expected_triangles=lambda n: 32,
-        p4hat_free=True,
+        p4hat_free=lambda n: True,
         parameter="ignored (the graph is fixed)",
-        valid=lambda n: True,
     ),
     "book": ConstructionFamily(
-        name="book",
         build=book,
         expected_triangles=lambda s: s,
-        p4hat_free=True,
+        p4hat_free=lambda n: True,
         parameter="page count s >= 1",
-        valid=lambda s: s >= 1,
     ),
     "complete": ConstructionFamily(
-        name="complete",
         build=complete,
         expected_triangles=lambda k: comb(k, 3),
-        p4hat_free=False,  # K5 and larger contain the pattern
+        p4hat_free=lambda k: k <= 4,  # the pattern has 5 vertices; K5 contains it
         parameter="clique size k >= 1",
-        valid=lambda k: k >= 1,
     ),
 }

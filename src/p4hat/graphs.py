@@ -263,6 +263,8 @@ def encode_graph6(g: Graph) -> bytes:
 
 def decode_graph6(data: bytes | str) -> Graph:
     if isinstance(data, str):
+        if not data.isascii():
+            raise Graph6Error("non-ASCII character in graph6 string")
         data = data.encode("ascii")
     if not data:
         raise Graph6Error("empty graph6 string")

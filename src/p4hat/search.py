@@ -224,14 +224,6 @@ def _scan_subtrees(first, n, cands, k, workers, progress=None):
 # -- public search operations ---------------------------------------------------
 
 @dataclass(frozen=True)
-class SearchSpec:
-    n: int
-    t: int
-    fixed: tuple[Triangle, Triangle]
-    candidates: tuple[Triangle, ...]
-
-
-@dataclass(frozen=True)
 class SearchReport:
     """Outcome of a counterexample search.
 
@@ -241,7 +233,6 @@ class SearchReport:
     except ``elapsed`` is independent of the worker count.
     """
 
-    spec: SearchSpec
     outcome: str  # "exhausted" | "counterexample"
     graphs_examined: int
     nodes_visited: int
@@ -278,7 +269,6 @@ def counterexample_search(
     started = time.perf_counter()
     cands = candidate_triangles(n)
     k = t - 2
-    spec = SearchSpec(n=n, t=t, fixed=FIXED_TRIANGLES, candidates=tuple(cands))
 
     results = _scan_subtrees(True, n, cands, k, workers, progress)
     nodes = sum(r[1] for r in results)
@@ -289,7 +279,7 @@ def counterexample_search(
         graph = union_of_triangles(n, tris)
         excess = 1 if count_triangles(graph) > t else 0
         return SearchReport(
-            spec, "counterexample", winner_rank + 1, nodes, excess, graph, winner_rank,
+            "counterexample", winner_rank + 1, nodes, excess, graph, winner_rank,
             False, time.perf_counter() - started,
         )
 
@@ -298,7 +288,7 @@ def counterexample_search(
     if examined != total:
         raise AssertionError(f"exhausted scan examined {examined} of {total} subsets")
     return SearchReport(
-        spec, "exhausted", examined, nodes, 0, None, None, t > n * n // 8,
+        "exhausted", examined, nodes, 0, None, None, t > n * n // 8,
         time.perf_counter() - started,
     )
 

@@ -89,6 +89,29 @@ class TestVerifyConstruction:
         code, _, _ = run_cli("verify-construction", "--family", "book")
         assert code == 64
 
+    def test_out_of_range_parameter_usage_error(self):
+        for family, n in (("bipartite-matching", "3"), ("small-extremal", "8"), ("book", "0"),
+                          ("complete", "0"), ("bipartite-matching", "3000")):
+            code, out, err = run_cli("verify-construction", "--family", family, "--n", n)
+            assert code == 64, (family, n)
+            assert out == b""
+            assert err.startswith("p4hat verify-construction: ")
+
+    def test_complete_freeness_claim_exact(self):
+        # K4 has too few vertices for the 5-vertex pattern; K5 contains it
+        for k, free in (("4", True), ("5", False)):
+            code, out, _ = run_cli("verify-construction", "--family", "complete", "--n", k)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["p4hat_free"] is doc["expected_p4hat_free"] is free
+            assert doc["passed"] is True
+
+    def test_emit_graph6(self):
+        code, out, _ = run_cli("verify-construction", "--family", "book", "--n", "3",
+                               "--emit-graph6")
+        assert code == 0
+        assert json.loads(out)["graph6"] == g6(book(3))
+
 
 class TestStreams:
     def test_blocks_on_book(self):
@@ -120,12 +143,65 @@ class TestStreams:
         assert json.loads(lines[1])["status"] == "p4hat-free"
         assert "line 1" in err
 
+    def test_non_ascii_line_reported_and_continues(self):
+        text = "\u00e9\n" + g6(book(2)) + "\n"
+        code, out, err = run_cli("witness", stdin_text=text)
+        assert code == 1
+        lines = [json.loads(line) for line in out.decode().splitlines()]
+        assert list(lines[0]) == ["line", "error"]
+        assert lines[1]["status"] == "p4hat-free"
+        assert "Traceback" not in err
+
+    def test_undecodable_byte_in_input_file(self, tmp_path):
+        source = tmp_path / "graphs.g6"
+        source.write_bytes(b"\xff\n" + encode_graph6(book(2)) + b"\n")
+        code, out, err = run_cli("blocks", "--input", str(source))
+        assert code == 1
+        lines = [json.loads(line) for line in out.decode().splitlines()]
+        assert lines[0] == {"line": 1, "error": "malformed graph6 header byte 255"}
+        assert lines[1]["blocks"][0]["kind"] == "Book"
+        assert "Traceback" not in err
+
+    def test_text_format(self):
+        text = g6(complete(5)) + "\n\nC~~\n"
+        code, out, _ = run_cli("witness", "--format", "text", stdin_text=text)
+        assert code == 1
+        assert out.decode().splitlines() == [
+            "line=1  graph6=D~{  status=witness  apex=0  path=[1, 2, 3, 4]",
+            "line=3  error=trailing garbage after graph6 body (1 bytes)",
+        ]
+
+    def test_output_file(self, tmp_path):
+        target = tmp_path / "blocks.jsonl"
+        code, out, _ = run_cli("blocks", "--output", str(target), stdin_text=g6(book(3)) + "\n")
+        assert code == 0
+        assert out == b""
+        assert json.loads(target.read_text())["blocks"][0]["pages"] == 3
+
     def test_multiple_lines(self):
         text = "\n".join([g6(book(1)), g6(complete(4)), g6(complete(5))]) + "\n"
         code, out, _ = run_cli("blocks", stdin_text=text)
         assert code == 0
         kinds = [json.loads(line)["blocks"][0]["kind"] for line in out.decode().splitlines()]
         assert kinds == ["Book", "K4", "Other"]
+
+
+class TestUnopenablePaths:
+    def test_missing_input(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        code, out, err = run_cli("witness", "--input", str(tmp_path / "missing.g6"),
+                                 "--output", str(target))
+        assert code == 64
+        assert out == b""
+        assert err.startswith("p4hat witness: ") and err.count("\n") == 1
+        assert not target.exists()  # the input is opened first
+
+    def test_unwritable_output(self, tmp_path):
+        code, out, err = run_cli("extremal", "--n", "4",
+                                 "--output", str(tmp_path / "no-such-dir" / "out.json"))
+        assert code == 64
+        assert out == b""
+        assert err.startswith("p4hat extremal: ") and err.count("\n") == 1
 
 
 class TestCheckBounds:

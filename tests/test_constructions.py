@@ -1,7 +1,10 @@
+import tracemalloc
+
 import pytest
 
 from p4hat import (
     GraphError,
+    VertexCountError,
     bipartite_matching,
     book,
     complete,
@@ -97,12 +100,25 @@ class TestBookAndComplete:
 
 
 def test_family_registry_consistent():
-    probe = {"bipartite-matching": 10, "small-extremal": 6, "sixteen-vertex": 16,
-             "book": 5, "complete": 4}
-    for name, fam in FAMILIES.items():
-        arg = probe[name]
-        assert fam.valid(arg)
+    probes = [("bipartite-matching", 10), ("small-extremal", 6), ("sixteen-vertex", 16),
+              ("book", 5), ("complete", 1), ("complete", 4), ("complete", 5), ("complete", 6)]
+    assert {name for name, _ in probes} == set(FAMILIES)
+    for name, arg in probes:
+        fam = FAMILIES[name]
         g = fam.build(arg)
         assert count_triangles(g) == fam.expected_triangles(arg)
-        if fam.p4hat_free:
-            assert contains_suspension_p4(g) is None
+        assert (contains_suspension_p4(g) is None) == fam.p4hat_free(arg), (name, arg)
+
+
+def test_builders_check_size_before_building_edges():
+    # an out-of-range vertex count is rejected before the edge list exists,
+    # so a huge parameter costs no memory
+    tracemalloc.start()
+    try:
+        for build, arg in ((bipartite_matching, 1000), (book, 100_000), (complete, 10**6)):
+            with pytest.raises(VertexCountError):
+                build(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -231,3 +231,8 @@ class TestGraph6:
 
     def test_accepts_str(self):
         assert decode_graph6("C~") == complete(4)
+
+    def test_decode_non_ascii(self):
+        for data in ("\u00e9", "C\u00e9", b"\xff", b"C\xff", b"\xc3\xa9"):
+            with pytest.raises(Graph6Error):
+                decode_graph6(data)
