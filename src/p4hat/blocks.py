@@ -7,6 +7,16 @@ graph every block is a complete graph on 4 vertices or a book (s triangles
 on a common base edge); anything else is classified ``Other`` so that
 arbitrary inputs can still be described.
 
+``decompose`` finds the blocks in one walk over the edges in lexicographic
+order.  An edge whose endpoints share no neighbour lies in no triangle and
+is a stray; any other edge not yet placed starts a block, which grows
+through the common neighbours of each edge it holds to the other two edges
+of every triangle on that edge.  Placed edges are marked in one bitmask
+per vertex.  The walk meets every triangle of the block, so the block is
+classified from what it collected, with no subgraph rebuilt;
+``classify_block`` is the same classification for an edge set from
+outside.
+
 Deleting each book's base edge (for single-triangle books: its
 lexicographically least edge, fixed for reproducibility) leaves a
 triangle-free graph with exactly two surviving edges per original triangle.
@@ -22,6 +32,7 @@ from .graphs import (
     Edge,
     Graph,
     Triangle,
+    _bits,
     count_triangles,
     enumerate_triangles,
     find_k4,
@@ -29,26 +40,6 @@ from .graphs import (
     triangle_edges,
 )
 from .patterns import SuspensionWitness, contains_suspension_p4
-
-
-class _UnionFind:
-    """Array union-find with path compression; indices are triangle ids."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while x != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
 
 
 @dataclass(frozen=True)
@@ -86,53 +77,81 @@ def classify_block(edges) -> Block:
     """Classify a triangle-connected edge set as K4, Book(s), or Other."""
     edge_list = sorted(tuple(sorted(e)) for e in edges)
     verts = sorted({v for e in edge_list for v in e})
-    n = verts[-1] + 1
-    sub = from_edges(n, edge_list)
-    tris = enumerate_triangles(sub)
+    sub = from_edges(verts[-1] + 1, edge_list)
+    return _classify(tuple(verts), tuple(edge_list), enumerate_triangles(sub))
+
+
+def _classify(verts: tuple[int, ...], edges: tuple[Edge, ...],
+              tris: list[Triangle]) -> Block:
+    """Classify a block from its sorted vertices and edges and every
+    triangle whose three edges lie in it."""
     t = len(tris)
-    nv, ne = len(verts), len(edge_list)
+    nv, ne = len(verts), len(edges)
 
     if nv == 4 and ne == 6 and t == 4:
-        return Block("K4", None, tuple(verts), tuple(edge_list), t, None)
+        return Block("K4", None, verts, edges, t, None)
 
     if t >= 1 and ne == 2 * t + 1 and nv == t + 2:
         if t == 1:
             base = min(triangle_edges(tris[0]))
-            return Block("Book", 1, tuple(verts), tuple(edge_list), 1, base)
+            return Block("Book", 1, verts, edges, 1, base)
         common = set(triangle_edges(tris[0]))
         for tri in tris[1:]:
             common &= set(triangle_edges(tri))
         if len(common) == 1:
-            return Block("Book", t, tuple(verts), tuple(edge_list), t, common.pop())
+            return Block("Book", t, verts, edges, t, common.pop())
 
-    return Block("Other", None, tuple(verts), tuple(edge_list), t, None)
+    return Block("Other", None, verts, edges, t, None)
 
 
 def decompose(g: Graph) -> BlockDecomposition:
-    """Partition the triangle-carrying edges into classified triangle blocks."""
-    tris = enumerate_triangles(g)
-    uf = _UnionFind(len(tris))
-    by_edge: dict[Edge, int] = {}
-    for i, tri in enumerate(tris):
-        for e in triangle_edges(tri):
-            first = by_edge.setdefault(e, i)
-            if first != i:
-                uf.union(first, i)
+    """Partition the triangle-carrying edges into classified triangle blocks.
 
-    groups: dict[int, list[Triangle]] = {}
-    for i, tri in enumerate(tris):
-        groups.setdefault(uf.find(i), []).append(tri)
-
+    One pass over the edges in lexicographic order (see the module
+    docstring), so blocks come out ordered by their least edge and strays
+    in lexicographic order.  Every triangle on a block's edges shares an
+    edge with the block and so lies wholly in it: the triangles met while
+    growing the block are all of its triangles.  Each is kept once, from
+    its least edge, and the block is classified from them.
+    """
+    adj = g.adj
+    placed = [0] * g.n  # bit v of placed[u]: edge (u, v), u < v, is in a block
     blocks = []
-    covered: set[Edge] = set()
-    for members in groups.values():
-        edge_set = {e for tri in members for e in triangle_edges(tri)}
-        covered |= edge_set
-        blocks.append(classify_block(edge_set))
-    blocks.sort(key=lambda b: b.edges)
+    strays = []
+    for u, ru in enumerate(adj):
+        above = ru >> (u + 1) << (u + 1)
+        while above:
+            low = above & -above
+            above ^= low
+            v = low.bit_length() - 1
+            if not ru & adj[v]:
+                strays.append((u, v))
+            elif not placed[u] & low:
+                placed[u] |= low
+                blocks.append(_grow_block(adj, placed, u, v))
+    return BlockDecomposition(tuple(blocks), tuple(strays))
 
-    strays = tuple(e for e in g.edges() if e not in covered)
-    return BlockDecomposition(tuple(blocks), strays)
+
+def _grow_block(adj: tuple[int, ...], placed: list[int], u: int, v: int) -> Block:
+    """The block of the placed edge (u, v); places every edge it adds."""
+    edges = [(u, v)]
+    tris = []
+    vmask = 1 << u | 1 << v
+    for a, b in edges:  # the list grows as the loop runs: a breadth-first walk
+        common = adj[a] & adj[b]
+        vmask |= common
+        while common:
+            low = common & -common
+            common ^= low
+            w = low.bit_length() - 1
+            if w > b:
+                tris.append((a, b, w))
+            for x, y in ((a, w) if a < w else (w, a), (b, w) if b < w else (w, b)):
+                if not placed[x] >> y & 1:
+                    placed[x] |= 1 << y
+                    edges.append((x, y))
+    edges.sort()
+    return _classify(tuple(_bits(vmask)), tuple(edges), tris)
 
 
 def _require_k4_free_p4hat_free(g: Graph) -> None:

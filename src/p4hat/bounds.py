@@ -126,6 +126,18 @@ def neighborhood_structure(g: Graph, s: tuple[int, int, int, int]) -> K4Neighbor
     )
 
 
+# Both audits loop in Python over every n: at this cap they take about 4
+# and 5 s (2 vCPUs, Python 3.11).
+AUDIT_N_MAX = 10**7
+
+
+def _check_audit_range(audit: str, n_min: int, n_max: int) -> None:
+    if n_max < n_min:
+        raise GuardError(f"{audit} needs n_max >= {n_min}, got {n_max}")
+    if n_max > AUDIT_N_MAX:
+        raise GuardError(f"{audit} needs n_max <= {AUDIT_N_MAX}, got {n_max}")
+
+
 @dataclass(frozen=True)
 class FloorIdentityReport:
     n_min: int
@@ -140,8 +152,7 @@ def floor_identity_audit(n_max: int) -> FloorIdentityReport:
         floor(n^2/8) - floor((n-1)^2/8) >= floor(n/4)
         floor(n^2/8) - floor((n-4)^2/8) == n - 2
     """
-    if n_max < 12:
-        raise GuardError(f"floor_identity_audit needs n_max >= 12, got {n_max}")
+    _check_audit_range("floor_identity_audit", 12, n_max)
     # c_j = floor((n-j)^2/8), kept as a window that slides with n
     c4, c3, c2, c1 = (m * m // 8 for m in range(8, 12))
     for n in range(12, n_max + 1):
@@ -175,13 +186,10 @@ def case_threshold_audit(n_max: int = 200) -> CaseThresholdReport:
     All comparisons are exact: both sides are scaled by 12 to stay in
     integers.
     """
-    if n_max < 17:
-        raise GuardError(f"case_threshold_audit needs n_max >= 17, got {n_max}")
+    _check_audit_range("case_threshold_audit", 17, n_max)
 
     case1_bad = []
-    for n in range(17, n_max + 1):
-        if n % 3 != 2:
-            continue
+    for n in range(17, n_max + 1, 3):  # 17 = 2 (mod 3)
         lhs = 36 * (n * n // 8 + 1)  # 12 * 3 * (floor + 1)
         rhs = 3 * n * n + 26 * n - 61
         if not lhs > rhs:

@@ -3,7 +3,8 @@
 Data goes to stdout; progress and timing go to stderr so the data stream
 stays pure.  Stdout bytes are identical across repeated runs and across
 worker counts.  Exit codes: 0 = verified/exhausted, 1 = malformed stream
-input, 2 = counterexample/violation/witness found, 64 = usage error.
+input, 2 = counterexample/violation/witness found, 64 = usage error,
+141 = stdout closed by its reader (128 + SIGPIPE).
 JSON schemas are documented in the README; every single-document payload
 carries ``schema_version``.
 """
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_STREAM_ERROR = 1
 EXIT_FOUND = 2
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -301,9 +303,16 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             return _fail(args, exc)
         try:
-            return args.run(args, out)
+            code = args.run(args, out)
+            out.flush()  # a closed reader surfaces here, not at exit
+            return code
         except (GuardError, GraphError) as exc:
             return _fail(args, exc)
+        except BrokenPipeError:
+            # the reader stopped early; what is still buffered goes to
+            # devnull, so the flush at interpreter exit cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

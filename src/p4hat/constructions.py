@@ -71,6 +71,12 @@ def sixteen_vertex() -> Graph:
     return from_edges(16, edges)
 
 
+def _sixteen_vertex_family(n: int) -> Graph:
+    if n != 16:
+        raise GraphError(f"the sixteen-vertex graph has n = 16, got {n}")
+    return sixteen_vertex()
+
+
 def book(s: int) -> Graph:
     """s triangles sharing the base edge (0, 1); pages are vertices 2..s+1."""
     if s < 1:
@@ -113,10 +119,10 @@ FAMILIES: dict[str, ConstructionFamily] = {
         parameter="vertex count n in 4..7",
     ),
     "sixteen-vertex": ConstructionFamily(
-        build=lambda n: sixteen_vertex(),
+        build=_sixteen_vertex_family,
         expected_triangles=lambda n: 32,
         p4hat_free=lambda n: True,
-        parameter="ignored (the graph is fixed)",
+        parameter="vertex count n = 16",
     ),
     "book": ConstructionFamily(
         build=book,

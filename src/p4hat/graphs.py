@@ -9,6 +9,7 @@ new graph, which makes them safe to share across worker processes.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 256
@@ -71,9 +72,12 @@ class Graph:
             if row & ~full:
                 raise VertexRangeError(f"row {v} has neighbor bits at or above n={n}")
         for v, row in enumerate(adj):
-            for u in _bits(row):
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
                 if not adj[u] >> v & 1:
                     raise GraphError(f"adjacency not symmetric at ({u}, {v})")
+                row ^= low
         self.n = n
         self.adj = tuple(adj)
 
@@ -283,21 +287,28 @@ def decode_graph6(data: bytes | str) -> Graph:
         raise Graph6Error(f"graph6 body too short: need {ngroups} bytes, got {len(body)}")
     if len(body) > ngroups:
         raise Graph6Error(f"trailing garbage after graph6 body ({len(body) - ngroups} bytes)")
-    rows = [0] * n
-    pos = 0
-    u, v = 0, 1
+    bits = 0
     for byte in body:
         if not 63 <= byte <= 126:
             raise Graph6Error(f"malformed graph6 body byte {byte}")
-        group = byte - 63
-        for k in range(5, -1, -1):
-            if group >> k & 1:
-                if pos >= tri_len:
-                    raise Graph6Error("padding bit set beyond triangle length")
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            pos += 1
-            u += 1
-            if u == v:
-                u, v = 0, v + 1
+        bits = bits << 6 | byte - 63
+    pad = 6 * ngroups - tri_len
+    if bits & (1 << pad) - 1:
+        raise Graph6Error("padding bit set beyond triangle length")
+    bits >>= pad
+    pairs = _graph6_pairs(n)
+    rows = [0] * n
+    while bits:
+        low = bits & -bits
+        u, v = pairs[low.bit_length() - 1]
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        bits ^= low
     return Graph(n, tuple(rows))
+
+
+@cache
+def _graph6_pairs(n: int) -> tuple[Edge, ...]:
+    """The (u, v) pair of each bit of an n-vertex graph6 body, indexed from
+    the least significant bit once the padding is shifted out."""
+    return tuple((u, v) for v in range(n - 1, 0, -1) for u in range(v - 1, -1, -1))

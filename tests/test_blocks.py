@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from p4hat import (
+    BlockDecomposition,
     BlockPreconditionError,
     base_edge_reduction,
     bipartite_matching,
@@ -12,6 +13,7 @@ from p4hat import (
     complete,
     count_triangles,
     decompose,
+    enumerate_triangles,
     find_k4,
     from_edges,
     is_p4hat_free,
@@ -19,12 +21,36 @@ from p4hat import (
     union_of_triangles,
     verify_k4free_bound,
 )
+from p4hat.graphs import triangle_edges
 from conftest import random_graph, sample_p4hat_free
 
 
 def octahedron():
     edges = [(u, v) for u in range(6) for v in range(u + 1, 6) if u // 2 != v // 2]
     return from_edges(6, edges)
+
+
+def reference_decompose(g):
+    """Second route to ``decompose``: triangles grouped by shared edges with
+    a union-find, each group's edges classified by ``classify_block``."""
+    tris = enumerate_triangles(g)
+    parent = list(range(len(tris)))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    first = {}
+    for i, tri in enumerate(tris):
+        for e in triangle_edges(tri):
+            parent[find(first.setdefault(e, i))] = find(i)
+    groups = {}
+    for i, tri in enumerate(tris):
+        groups.setdefault(find(i), set()).update(triangle_edges(tri))
+    blocks = sorted((classify_block(edges) for edges in groups.values()), key=lambda b: b.edges)
+    covered = set().union(*groups.values())
+    return BlockDecomposition(tuple(blocks), tuple(e for e in g.edges() if e not in covered))
 
 
 class TestDecompose:
@@ -64,6 +90,12 @@ class TestDecompose:
                 seen.extend(b.edges)
             assert sorted(seen) == g.edges()  # blocks + strays partition the edges
             assert sum(b.triangle_count for b in dec.blocks) == count_triangles(g)
+
+    def test_matches_union_find_reference(self):
+        rng = random.Random(73)
+        for _ in range(2_000):
+            g = random_graph(rng, rng.randint(1, 16), rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+            assert decompose(g) == reference_decompose(g)
 
 
 class TestClassify:

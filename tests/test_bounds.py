@@ -14,7 +14,7 @@ from p4hat import (
     sixteen_vertex,
     small_extremal,
 )
-from p4hat.bounds import _component_kinds
+from p4hat.bounds import AUDIT_N_MAX, _check_audit_range, _component_kinds
 from conftest import sample_p4hat_free
 
 
@@ -152,3 +152,13 @@ class TestCaseThresholds:
     def test_guard(self):
         with pytest.raises(GuardError):
             case_threshold_audit(10)
+
+
+class TestAuditCap:
+    def test_cap_admits_10_million_and_no_more(self):
+        # the guard itself at the cap: running both audits there takes ~9 s
+        assert AUDIT_N_MAX == 10**7
+        _check_audit_range("floor_identity_audit", 12, 10**7)
+        for audit in (floor_identity_audit, case_threshold_audit):
+            with pytest.raises(GuardError, match=f"{audit.__name__} needs n_max <= 10000000"):
+                audit(10**7 + 1)

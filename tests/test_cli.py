@@ -74,12 +74,14 @@ class TestVerifyConstruction:
         assert doc["passed"] is True
 
     def test_sixteen_vertex(self):
-        code, out, _ = run_cli("verify-construction", "--family", "sixteen-vertex")
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["triangles"] == 32
-        assert doc["block_kinds"] == ["K4"] * 8
-        assert doc["passed"] is True
+        for n in ((), ("--n", "16")):  # omitting --n means 16
+            code, out, _ = run_cli("verify-construction", "--family", "sixteen-vertex", *n)
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["parameter"] == 16 == doc["vertices"]
+            assert doc["triangles"] == 32
+            assert doc["block_kinds"] == ["K4"] * 8
+            assert doc["passed"] is True
 
     def test_unknown_family_usage_error(self):
         code, _, _ = run_cli("verify-construction", "--family", "nonsense", "--n", "5")
@@ -91,7 +93,8 @@ class TestVerifyConstruction:
 
     def test_out_of_range_parameter_usage_error(self):
         for family, n in (("bipartite-matching", "3"), ("small-extremal", "8"), ("book", "0"),
-                          ("complete", "0"), ("bipartite-matching", "3000")):
+                          ("complete", "0"), ("bipartite-matching", "3000"),
+                          ("sixteen-vertex", "3")):
             code, out, err = run_cli("verify-construction", "--family", family, "--n", n)
             assert code == 64, (family, n)
             assert out == b""
@@ -186,6 +189,21 @@ class TestStreams:
         assert kinds == ["Book", "K4", "Other"]
 
 
+class TestBrokenPipe:
+    def test_reader_closing_early_exits_141_without_traceback(self, tmp_path):
+        corpus = tmp_path / "k4s.g6"
+        corpus.write_text((g6(complete(4)) + "\n") * 20_000)
+        proc = subprocess.Popen([sys.executable, "-m", "p4hat", "witness", "--input", str(corpus)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        # 20,000 output lines overfill the pipe, so the writer is still
+        # writing when the reader leaves
+        assert proc.stdout.readline().startswith(b'{"line": 1, ')
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
+        assert "Traceback" not in err
+
+
 class TestUnopenablePaths:
     def test_missing_input(self, tmp_path):
         target = tmp_path / "out.jsonl"
@@ -211,6 +229,12 @@ class TestCheckBounds:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert doc["floor_identities"]["ok"] is True
+
+    def test_n_max_cap_usage_error(self):
+        code, out, err = run_cli("check-bounds", "--n-max", "10000001")
+        assert code == 64
+        assert out == b""
+        assert err == "p4hat check-bounds: floor_identity_audit needs n_max <= 10000000, got 10000001\n"
 
 
 class TestStartup:

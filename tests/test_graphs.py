@@ -3,6 +3,7 @@ import random
 import pytest
 
 from p4hat import (
+    Graph,
     Graph6Error,
     Graph6SizeError,
     GraphError,
@@ -48,6 +49,10 @@ class TestFromEdges:
     def test_loop_edge(self):
         with pytest.raises(LoopEdgeError):
             from_edges(3, [(1, 1)])
+
+    def test_asymmetric_adjacency_names_the_pair(self):
+        with pytest.raises(GraphError, match=r"not symmetric at \(1, 0\)"):
+            Graph(2, (0b10, 0))
 
     def test_n_out_of_bounds(self):
         with pytest.raises(VertexCountError):
@@ -182,6 +187,23 @@ class TestNeighborhoodSubgraph:
             neighborhood_subgraph(from_edges(2, []), 0)
 
 
+def reference_decode_graph6(data: bytes) -> Graph:
+    """Per-bit graph6 reader for a single-byte header, written from the
+    format description: one 6-bit group per body byte, pairs in column
+    order, zero padding."""
+    n = data[0] - 63
+    body = data[1:]
+    if any(not 63 <= byte <= 126 for byte in body):
+        raise Graph6Error("malformed body byte")
+    bits = "".join(format(byte - 63, "06b") for byte in body)
+    pairs = [(u, v) for v in range(1, n) for u in range(v)]
+    if len(bits) != -(-len(pairs) // 6) * 6:
+        raise Graph6Error("wrong body length")
+    if "1" in bits[len(pairs):]:
+        raise Graph6Error("padding bit set")
+    return from_edges(n, [pair for pair, bit in zip(pairs, bits) if bit == "1"])
+
+
 class TestGraph6:
     def test_k4(self):
         assert encode_graph6(complete(4)) == b"C~"
@@ -228,6 +250,22 @@ class TestGraph6:
         # n=2 has one adjacency bit; the trailing five must be zero
         with pytest.raises(Graph6Error, match="padding"):
             decode_graph6(bytes([63 + 2, 63 + 1]))
+
+    def test_every_one_byte_body_matches_per_bit_reference(self):
+        for n in (2, 3, 4):
+            padded = 0
+            for byte in range(256):
+                data = bytes([63 + n, byte])
+                try:
+                    expected = reference_decode_graph6(data)
+                except Graph6Error:
+                    in_range = 63 <= byte <= 126
+                    padded += in_range
+                    with pytest.raises(Graph6Error, match="padding" if in_range else "malformed"):
+                        decode_graph6(data)
+                else:
+                    assert decode_graph6(data) == expected
+            assert padded == 64 - (1 << n * (n - 1) // 2)
 
     def test_accepts_str(self):
         assert decode_graph6("C~") == complete(4)
