@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from .graphs import (
     Edge,
     Graph,
+    GraphError,
     Triangle,
     _bits,
     count_triangles,
@@ -76,6 +77,8 @@ class BlockPreconditionError(ValueError):
 def classify_block(edges) -> Block:
     """Classify a triangle-connected edge set as K4, Book(s), or Other."""
     edge_list = sorted(tuple(sorted(e)) for e in edges)
+    if not edge_list:
+        raise GraphError("classify_block needs at least one edge")
     verts = sorted({v for e in edge_list for v in e})
     sub = from_edges(verts[-1] + 1, edge_list)
     return _classify(tuple(verts), tuple(edge_list), enumerate_triangles(sub))

@@ -31,7 +31,7 @@ class SuspensionWitness:
     def is_valid_in(self, g: Graph) -> bool:
         a, b, c, d = self.path
         verts = {self.apex, a, b, c, d}
-        if len(verts) != 5:
+        if len(verts) != 5 or not all(0 <= v < g.n for v in verts):
             return False
         row = g.adj[self.apex]
         if not all(row >> v & 1 for v in self.path):

@@ -24,10 +24,11 @@ one subtree: all subsets whose largest candidate is m, the rank block
 process or a pool, and their results are read in that order; a "first"
 search stops reading at the first subtree with a hit, so every result is
 independent of the worker count.  Each subtree is a depth-first walk that
-adds one triangle per level, keeping the union's adjacency rows in place
-with per-edge multiplicity counters.  Containing the pattern is monotone
-under adding edges, so the walk tests the union at every node and skips the
-subtree below any node whose union already contains it; at n = 8, t = 9
+adds one triangle per level; every node holds its own union's adjacency
+rows, its parent's with the new triangle's edges OR-ed in, so leaving a node
+undoes nothing.  Containing the pattern is monotone under adding edges, so
+the walk tests the union at every node and skips the subtree below any node
+whose union already contains it; at n = 8, t = 9
 this visits 19,921 nodes instead of testing 12,620,256 leaves.
 ``graphs_examined`` counts the ranks covered, pruned subtrees included, so
 an exhausted scan still accounts for every subset.
@@ -56,11 +57,9 @@ from .graphs import (
     Graph,
     GuardError,
     Triangle,
-    _bits,
     count_triangles,
     decode_graph6,
     edge_minimal_reduction,
-    from_edges,
     triangle_edges,
     union_of_triangles,
 )
@@ -107,6 +106,8 @@ def colex_rank(subset: Sequence[int]) -> int:
 def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
     if rank < 0 or k < 0:
         raise GuardError(f"colex_unrank needs rank >= 0 and k >= 0, got {rank}, {k}")
+    if k == 0 and rank > 0:
+        raise GuardError(f"the only 0-subset has rank 0, got {rank}")
     out = []
     r = rank
     for j in range(k, 0, -1):
@@ -120,67 +121,54 @@ def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
 
 # -- the pruned colex scan ------------------------------------------------------
 
-def _edge_data(n: int, tris: Sequence[Triangle]) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """Per triangle, its three edges as (counter index, u, v)."""
-    return tuple(tuple((u * n + v, u, v) for u, v in triangle_edges(tri)) for tri in tris)
+def _row_bits(tris: Sequence[Triangle]) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per triangle, each vertex with the row bits of the other two."""
+    return tuple(((a, 1 << b | 1 << c), (b, 1 << a | 1 << c), (c, 1 << a | 1 << b))
+                 for a, b, c in tris)
 
 
-def _scan(n, cand_edges, k, top, first):
+def _scan(n, cand_bits, k, top, first):
     """Walk the subtree of k-subsets of candidates whose largest element is
     ``top``: the colex ranks [C(top, k), C(top + 1, k)).
 
     Subset elements are chosen from the largest down, so subsets are met in
     colex order: choosing element m at level j spans the ranks
-    [base + C(m, j), base + C(m + 1, j)).  Every node's union (the fixed pair
-    plus the triangles chosen so far) is tested; adding triangles never
-    removes the pattern, so a node whose union contains it is skipped with
-    its whole subtree, whose C(m, j - 1) ranks still count as examined.  A
-    leaf whose union is p4hat-free is a hit.  ``first`` stops at the first
+    [base + C(m, j), base + C(m + 1, j)).  A node's union is the fixed pair
+    plus the triangles chosen so far: a copy of its parent's rows with
+    triangle m's bits OR-ed in.  Every union is tested; adding triangles
+    never removes the pattern, so a node whose union contains it is skipped
+    with its whole subtree, whose C(m, j - 1) ranks still count as examined.
+    A leaf whose union is p4hat-free is a hit.  ``first`` stops at the first
     hit; otherwise every hit is kept.
 
     Returns (examined, nodes, hits): ranks covered, detector calls, and the
-    hits as (rank, sorted subset) pairs in colex order.
+    hits as (rank, adjacency rows) pairs in colex order.
     """
     combt = [[comb(m, j) for j in range(k + 1)] for m in range(top + 1)]
-    cnt = [0] * (n * n)
-    rows = [0] * n
-
-    def toggle(edges, delta):
-        for e, u, v in edges:
-            cnt[e] += delta
-            if cnt[e] == (delta > 0):  # the edge just appeared or just vanished
-                rows[u] ^= 1 << v
-                rows[v] ^= 1 << u
-
-    for edges in _edge_data(n, FIXED_TRIANGLES):
-        toggle(edges, 1)
-    chosen: list[int] = []
     hits: list[tuple[int, tuple[int, ...]]] = []
     examined = nodes = 0
 
-    def walk(j: int, elements: Iterable[int], base: int) -> bool:
+    def walk(j: int, elements: Iterable[int], base: int, rows: list[int]) -> bool:
         """Visit the given children of one node; True once the walk must end."""
         nonlocal examined, nodes
         for m in elements:
-            a = base + combt[m][j]
-            toggle(cand_edges[m], 1)
-            chosen.append(m)
+            child = rows.copy()
+            for v, bits in cand_bits[m]:
+                child[v] |= bits
             nodes += 1
-            if _rows_contain_suspension(rows, n):
+            if _rows_contain_suspension(child, n):
                 examined += combt[m][j - 1]
             elif j > 1:
-                if walk(j - 1, range(j - 2, m), a):
+                if walk(j - 1, range(j - 2, m), base + combt[m][j], child):
                     return True
             else:
                 examined += 1
-                hits.append((a, tuple(reversed(chosen))))
+                hits.append((base + combt[m][j], tuple(child)))
                 if first:
                     return True
-            chosen.pop()
-            toggle(cand_edges[m], -1)
         return False
 
-    walk(k, (top,), 0)
+    walk(k, (top,), 0, list(union_of_triangles(n, FIXED_TRIANGLES).adj))
     return examined, nodes, hits
 
 
@@ -195,7 +183,7 @@ def _scan_subtrees(first, n, cands, k, workers, progress=None):
     the worker count.  ``progress(i, examined)`` is called as the result of
     subtree i is read.
     """
-    scan = partial(_scan, n, _edge_data(n, cands), k, first=first)
+    scan = partial(_scan, n, _row_bits(cands), k, first=first)
     tops = range(k - 1, len(cands))
     processes = min(workers, len(tops))
     pool = None
@@ -274,9 +262,8 @@ def counterexample_search(
     nodes = sum(r[1] for r in results)
 
     if results and results[-1][2]:
-        winner_rank, subset = results[-1][2][0]
-        tris = list(FIXED_TRIANGLES) + [cands[i] for i in subset]
-        graph = union_of_triangles(n, tris)
+        winner_rank, rows = results[-1][2][0]
+        graph = Graph(n, rows)
         excess = 1 if count_triangles(graph) > t else 0
         return SearchReport(
             "counterexample", winner_rank + 1, nodes, excess, graph, winner_rank,
@@ -304,36 +291,22 @@ def exhaustive_oracle(n: int) -> tuple[int, list[Graph]]:
     if not 1 <= n <= EXHAUSTIVE_MAX_VERTICES:
         raise GuardError(f"exhaustive_oracle supports n <= {EXHAUSTIVE_MAX_VERTICES}, got {n}")
     edges = list(combinations(range(n), 2))
-    m = len(edges)
     rows = [0] * n
-    t = 0
-    mask = 0
-    best = -1
-    winners: list[int] = []
-    if not _rows_contain_suspension(rows, n):
-        best, winners = 0, [0]
-    for s in range(1, 1 << m):
-        j = (s & -s).bit_length() - 1
-        u, v = edges[j]
+    t = best = 0
+    winners = [tuple(rows)]  # the empty graph: p4hat-free, no triangles
+    for s in range(1, 1 << len(edges)):
+        u, v = edges[(s & -s).bit_length() - 1]
         delta = (rows[u] & rows[v]).bit_count()
-        t += -delta if mask >> j & 1 else delta
+        t += -delta if rows[u] >> v & 1 else delta
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-        mask ^= 1 << j
         if t >= best and not _rows_contain_suspension(rows, n):
             if t > best:
                 best = t
-                winners = [mask]
+                winners = [tuple(rows)]
             else:
-                winners.append(mask)
-    forms = {
-        canonical_form(
-            edge_minimal_reduction(
-                from_edges(n, [edges[i] for i in _bits(wmask)])
-            )
-        )
-        for wmask in winners
-    }
+                winners.append(tuple(rows))
+    forms = {canonical_form(edge_minimal_reduction(Graph(n, w))) for w in winners}
     return best, [decode_graph6(f) for f in sorted(forms)]
 
 
@@ -361,9 +334,8 @@ def enumerate_extremal_configs(n: int, ex_value: int, workers: int = 1) -> list[
     forms: set[bytes] = set()
 
     for _, _, hits in _scan_subtrees(False, n, cands, ex_value - 2, workers):
-        for _, subset in hits:
-            tris = list(FIXED_TRIANGLES) + [cands[i] for i in subset]
-            graph = union_of_triangles(n, tris)
+        for _, rows in hits:
+            graph = Graph(n, rows)
             if count_triangles(graph) == ex_value:
                 forms.add(canonical_form(graph))
 

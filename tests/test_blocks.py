@@ -6,6 +6,7 @@ import pytest
 from p4hat import (
     BlockDecomposition,
     BlockPreconditionError,
+    GraphError,
     base_edge_reduction,
     bipartite_matching,
     book,
@@ -110,6 +111,10 @@ class TestClassify:
 
     def test_octahedron_other(self):
         assert classify_block(octahedron().edges()).kind == "Other"
+
+    def test_empty_edge_set_raises(self):
+        with pytest.raises(GraphError):
+            classify_block([])
 
     def test_free_graphs_never_other(self):
         # exhaustive for n <= 5 here; the acceptance suite covers n <= 6 and

@@ -2,6 +2,7 @@ import random
 from itertools import combinations, permutations
 
 from p4hat import (
+    SuspensionWitness,
     bipartite_matching,
     book,
     brute_force_suspension,
@@ -100,6 +101,12 @@ class TestSuspension:
             extra = rng.sample(missing, min(len(missing), 3))
             g2 = from_edges(n, list(edges) + extra)
             assert contains_suspension_p4(g2) is not None
+
+    def test_out_of_range_witness_is_invalid(self):
+        k5 = complete(5)
+        assert SuspensionWitness(4, (0, 1, 2, 3)).is_valid_in(k5)
+        assert not SuspensionWitness(4, (-1, 1, 2, 3)).is_valid_in(k5)
+        assert not SuspensionWitness(7, (0, 1, 2, 3)).is_valid_in(k5)
 
     def test_witness_structure(self):
         rng = random.Random(54)

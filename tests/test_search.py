@@ -27,7 +27,7 @@ from p4hat import (
     union_of_triangles,
 )
 from p4hat import search
-from p4hat.search import _edge_data, _scan, _scan_subtrees
+from p4hat.search import _row_bits, _scan, _scan_subtrees
 
 # ex(n) for the sizes the unpruned reference scan can cover
 SMALL_EX = {5: 4, 6: 5, 7: 8}
@@ -39,10 +39,11 @@ def _union(n, cands, subset):
 
 def _reference_hits(n, k):
     """Unpruned reference: every k-subset in colex order, kept when its union
-    is p4hat-free, as (rank, subset) pairs."""
+    is p4hat-free, as (rank, union rows) pairs."""
     cands = candidate_triangles(n)
     subsets = sorted(combinations(range(len(cands)), k), key=lambda s: s[::-1])
-    return [(rank, s) for rank, s in enumerate(subsets) if is_p4hat_free(_union(n, cands, s))]
+    unions = (_union(n, cands, s) for s in subsets)
+    return [(rank, g.adj) for rank, g in enumerate(unions) if is_p4hat_free(g)]
 
 
 class TestCandidates:
@@ -97,6 +98,10 @@ class TestColex:
             colex_unrank(-1, 3)
         with pytest.raises(GuardError):
             colex_unrank(0, -1)
+        # only rank 0 has a 0-subset
+        assert colex_unrank(0, 0) == ()
+        with pytest.raises(GuardError):
+            colex_unrank(1, 0)
 
 
 class TestPrunedScan:
@@ -113,11 +118,11 @@ class TestPrunedScan:
                 assert (examined, hits) == (total, ref), (n, t)
                 report = counterexample_search(n, t)
                 if ref:
-                    rank, subset = ref[0]
+                    rank, rows = ref[0]
                     assert report.outcome == "counterexample", (n, t)
                     assert report.counterexample_rank == rank
                     assert report.graphs_examined == rank + 1
-                    assert report.counterexample == _union(n, cands, subset)
+                    assert report.counterexample.adj == rows
                 else:
                     assert report.outcome == "exhausted", (n, t)
                     assert report.graphs_examined == total
@@ -127,24 +132,24 @@ class TestPrunedScan:
         # every subtree of at most C(14, 6) ranks, rank by rank; t = 7 adds
         # small subtrees that hold hits
         cands = candidate_triangles(8)
-        cand_edges = _edge_data(8, cands)
+        cand_bits = _row_bits(cands)
         checked = with_hits = 0
         for t in (7, 8, 9):
             k = t - 2
             covered = 0
             for top in range(k - 1, len(cands)):
                 lo, hi = comb(top, k), comb(top + 1, k)
-                examined, _, hits = _scan(8, cand_edges, k, top, first=False)
+                examined, _, hits = _scan(8, cand_bits, k, top, first=False)
                 covered += examined
                 if hi - lo > comb(14, 6):
                     continue
                 ref = []
                 for rank in range(lo, hi):
-                    subset = colex_unrank(rank, k)
-                    if is_p4hat_free(_union(8, cands, subset)):
-                        ref.append((rank, subset))
+                    union = _union(8, cands, colex_unrank(rank, k))
+                    if is_p4hat_free(union):
+                        ref.append((rank, union.adj))
                 assert (examined, hits) == (hi - lo, ref), (k, top)
-                examined, _, hits = _scan(8, cand_edges, k, top, first=True)
+                examined, _, hits = _scan(8, cand_bits, k, top, first=True)
                 assert hits == ref[:1], (k, top)
                 assert examined == (ref[0][0] - lo + 1 if ref else hi - lo), (k, top)
                 checked += 1
@@ -158,13 +163,13 @@ class TestPrunedScan:
         cands = candidate_triangles(8)
         collect = _scan_subtrees(False, 8, cands, 6, 1)
         i = next(i for i, r in enumerate(collect) if r[2])
-        rank, subset = collect[i][2][0]
+        hit = collect[i][2][0]
         for workers in (1, 2):
             first = _scan_subtrees(True, 8, cands, 6, workers)
             assert len(first) == i + 1
             assert first[:i] == collect[:i]
-            assert first[i][2] == [(rank, subset)]
-            assert first[i][0] == rank - comb(i + 5, 6) + 1
+            assert first[i][2] == [hit]
+            assert first[i][0] == hit[0] - comb(i + 5, 6) + 1
 
 
 class TestCounterexampleSearch:
@@ -228,6 +233,11 @@ class TestCounterexampleSearch:
         for workers in (1, 2, 8):
             assert counterexample_search(8, 9, workers=workers).nodes_visited == 19921
             assert counterexample_search(8, 8, workers=workers).nodes_visited == 7778
+            # n = 9: 62 candidates, every 9-subset ruled out
+            report = counterexample_search(9, 11, workers=workers)
+            assert report.outcome == "exhausted"
+            assert report.graphs_examined == comb(62, 9) == 20_286_591_270
+            assert report.nodes_visited == 624_940
 
     def test_progress_is_live_and_in_subtree_order(self, monkeypatch):
         # (7, 9) exhausts, so subtree i (largest candidate i + 6) reports its
