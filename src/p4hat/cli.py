@@ -2,9 +2,12 @@
 
 Data goes to stdout; progress and timing go to stderr so the data stream
 stays pure.  Stdout bytes are identical across repeated runs and across
-worker counts.  Exit codes: 0 = verified/exhausted, 1 = malformed stream
-input, 2 = counterexample/violation/witness found, 64 = usage error,
-141 = stdout closed by its reader (128 + SIGPIPE).
+worker counts.  The stream commands split their input into ordered chunks
+of ``STREAM_CHUNK`` non-blank lines for the same worker pool the searches
+use and write each chunk's output whole, in input order, so their output
+arrives a chunk at a time.  Exit codes: 0 = verified/exhausted,
+1 = malformed stream input, 2 = counterexample/violation/witness found,
+64 = usage error, 141 = stdout closed by its reader (128 + SIGPIPE).
 JSON schemas are documented in the README; every single-document payload
 carries ``schema_version``.
 """
@@ -13,12 +16,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import sys
 import time
 from functools import partial
-from typing import Any, Callable, TextIO
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from .blocks import decompose
 from .bounds import case_threshold_audit, floor_identity_audit
@@ -33,6 +37,7 @@ from .graphs import (
     encode_graph6,
 )
 from .patterns import contains_suspension_p4
+from .pool import ordered_map
 from .search import (
     EXHAUSTIVE_MAX_VERTICES,
     candidate_triangles,
@@ -64,8 +69,8 @@ def _emit(doc: dict[str, Any], args: argparse.Namespace, out: TextIO) -> None:
             out.write(f"{key}: {value}\n")
 
 
-def _emit_line(doc: dict[str, Any], args: argparse.Namespace, out: TextIO) -> None:
-    if args.format == "json":
+def _emit_line(doc: dict[str, Any], fmt: str, out: TextIO) -> None:
+    if fmt == "json":
         out.write(json.dumps(doc, separators=(", ", ": ")))
         out.write("\n")
     else:
@@ -166,6 +171,9 @@ def _cmd_verify_construction(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK if doc["passed"] else EXIT_FOUND
 
 
+STREAM_CHUNK = 500  # non-blank input lines per unit of work
+
+
 def _cmd_stream(
     describe: Callable[[Graph], tuple[dict[str, Any], bool]],
     args: argparse.Namespace,
@@ -173,25 +181,58 @@ def _cmd_stream(
 ) -> int:
     """Emit one line per non-blank graph6 line of the binary stream
     ``args.input``: ``describe(graph)``'s fields, or the decode error.
-    ``describe`` also says whether the graph counts as found."""
+    ``describe`` also says whether the graph counts as found.
+
+    The lines go in chunks of ``STREAM_CHUNK`` through ``ordered_map``, and
+    each chunk's output is written whole, in input order."""
     errors = found = 0
-    for lineno, raw in enumerate(args.input, start=1):
+    describe_chunk = partial(_stream_chunk, describe, args.format)
+    with ordered_map(describe_chunk, _chunks(args.input), args.workers) as described:
+        for text, messages, chunk_errors, chunk_found in described:
+            sys.stderr.write(messages)
+            out.write(text)
+            errors += chunk_errors
+            found += chunk_found
+    if errors:
+        return EXIT_STREAM_ERROR
+    return EXIT_FOUND if found else EXIT_OK
+
+
+def _chunks(stream: Iterable[bytes]) -> Iterator[list[tuple[int, bytes]]]:
+    """The stream's non-blank lines, stripped and numbered from 1, in lists
+    of ``STREAM_CHUNK``."""
+    chunk = []
+    for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
-        if not line:
-            continue
+        if line:
+            chunk.append((lineno, line))
+            if len(chunk) == STREAM_CHUNK:
+                yield chunk
+                chunk = []
+    if chunk:
+        yield chunk
+
+
+def _stream_chunk(
+    describe: Callable[[Graph], tuple[dict[str, Any], bool]],
+    fmt: str,
+    chunk: list[tuple[int, bytes]],
+) -> tuple[str, str, int, int]:
+    """One chunk's stdout text, stderr text, error count and found count."""
+    out, err = io.StringIO(), io.StringIO()
+    errors = found = 0
+    for lineno, line in chunk:
         try:
             graph = decode_graph6(line)
         except Graph6Error as exc:
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-            _emit_line({"line": lineno, "error": str(exc)}, args, out)
+            err.write(f"line {lineno}: {exc}\n")
+            _emit_line({"line": lineno, "error": str(exc)}, fmt, out)
             errors += 1
             continue
         fields, hit = describe(graph)
         found += hit
-        _emit_line({"line": lineno, "graph6": line.decode("ascii"), **fields}, args, out)
-    if errors:
-        return EXIT_STREAM_ERROR
-    return EXIT_FOUND if found else EXIT_OK
+        _emit_line({"line": lineno, "graph6": line.decode("ascii"), **fields}, fmt, out)
+    return out.getvalue(), err.getvalue(), errors, found
 
 
 def _block_fields(graph: Graph) -> tuple[dict[str, Any], bool]:
@@ -242,6 +283,15 @@ def _cmd_check_bounds(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK if doc["passed"] else EXIT_FOUND
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else every CPU on the host."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="p4hat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -250,7 +300,7 @@ def build_parser() -> _Parser:
     output.add_argument("--format", choices=("json", "text"), default="json")
     output.add_argument("--output", default="-", help="output path, '-' for stdout")
     workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument("--workers", type=int, default=os.cpu_count() or 1,
+    workers.add_argument("--workers", type=int, default=_available_cpus(),
                          help="parallel workers (default: available parallelism)")
     stream = argparse.ArgumentParser(add_help=False)
     stream.add_argument("--input", default="-", help="input path, '-' for stdin")
@@ -274,9 +324,9 @@ def build_parser() -> _Parser:
     p.add_argument("--emit-graph6", action="store_true")
 
     command("blocks", "triangle-block decomposition of graph6 lines",
-            partial(_cmd_stream, _block_fields), stream)
+            partial(_cmd_stream, _block_fields), stream, workers)
     command("witness", "forbidden-pattern witnesses for graph6 lines",
-            partial(_cmd_stream, _witness_fields), stream)
+            partial(_cmd_stream, _witness_fields), stream, workers)
 
     p = command("check-bounds", "floor identities and case thresholds", _cmd_check_bounds)
     p.add_argument("--n-max", type=int, default=1000000)

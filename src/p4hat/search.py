@@ -64,6 +64,7 @@ from .graphs import (
     union_of_triangles,
 )
 from .patterns import _rows_contain_suspension
+from .pool import ordered_map
 
 FIXED_TRIANGLES: tuple[Triangle, Triangle] = ((0, 1, 2), (0, 1, 3))
 SEARCH_MAX_VERTICES = 10
@@ -176,36 +177,22 @@ def _scan_subtrees(first, n, cands, k, workers, progress=None):
     """Scan the subtrees of all C(len(cands), k) subsets in increasing order
     of their largest element and return their ``_scan`` results in that order.
 
-    One process scans them all when one suffices; otherwise a pool of at most
-    ``workers`` processes does, and its results are read in order.  In
-    "first" mode the read ends at the first subtree with a hit and the
+    The subtrees go through ``ordered_map``, so one process scans them all
+    when one suffices, and a pool never has more processes than subtrees.
+    In "first" mode the read ends at the first subtree with a hit and the
     subtrees not yet started are cancelled, so the results never depend on
     the worker count.  ``progress(i, examined)`` is called as the result of
     subtree i is read.
     """
     scan = partial(_scan, n, _row_bits(cands), k, first=first)
-    tops = range(k - 1, len(cands))
-    processes = min(workers, len(tops))
-    pool = None
-    if processes > 1:
-        # imported on first use, to keep its imports out of every CLI start-up
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        pool = ProcessPoolExecutor(processes, mp_context=get_context("fork"))
     results = []
-    try:
-        for i, result in enumerate(pool.map(scan, tops) if pool else map(scan, tops)):
+    with ordered_map(scan, range(k - 1, len(cands)), workers) as scanned:
+        for i, result in enumerate(scanned):
             results.append(result)
             if progress is not None:
                 progress(i, result[0])
             if first and result[2]:
                 break
-    finally:
-        # Pool.terminate can deadlock on a worker killed mid-send, so running
-        # subtrees are left to finish rather than killed
-        if pool:
-            pool.shutdown(cancel_futures=True)
     return results
 
 
@@ -251,8 +238,6 @@ def counterexample_search(
         raise GuardError(f"counterexample_search supports 5 <= n <= {SEARCH_MAX_VERTICES}")
     if t < 3:
         raise GuardError(f"target triangle count must be >= 3, got {t}")
-    if workers < 1:
-        raise GuardError(f"worker count must be >= 1, got {workers}")
 
     started = time.perf_counter()
     cands = candidate_triangles(n)
@@ -327,8 +312,6 @@ def enumerate_extremal_configs(n: int, ex_value: int, workers: int = 1) -> list[
         raise GuardError(f"config enumeration supports 5 <= n <= {EXTREMAL_MAX_VERTICES}")
     if 2 * ex_value < n * n // 4:
         raise GuardError(f"config enumeration needs 2 * ex_value >= {n * n // 4}, got {ex_value}")
-    if workers < 1:
-        raise GuardError(f"worker count must be >= 1, got {workers}")
 
     cands = candidate_triangles(n)
     forms: set[bytes] = set()

@@ -5,7 +5,10 @@ from __future__ import annotations
 import random
 import subprocess
 import sys
+from concurrent import futures
 from itertools import combinations, permutations
+
+import pytest
 
 from p4hat import Graph, encode_graph6, from_edges
 from p4hat.patterns import _rows_contain_suspension
@@ -71,3 +74,26 @@ def run_cli(*args: str, stdin_text: str | None = None) -> tuple[int, bytes, str]
         capture_output=True,
     )
     return proc.returncode, proc.stdout, proc.stderr.decode()
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """Replace ``ProcessPoolExecutor`` with a stand-in that starts no process:
+    it runs each submitted call at once, here, and records the process count
+    every pool asks for in the returned list."""
+    requested: list[int] = []
+
+    class RecordingPool:
+        def __init__(self, processes, mp_context):
+            requested.append(processes)
+
+        def submit(self, fn, *args):
+            future = futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    return requested

@@ -1,9 +1,14 @@
 import json
+import os
+import random
 import subprocess
 import sys
 
+import pytest
+
 from p4hat import book, complete, encode_graph6, sixteen_vertex
-from conftest import run_cli
+from p4hat.cli import STREAM_CHUNK, build_parser, main
+from conftest import random_graph, run_cli
 
 
 def g6(graph) -> str:
@@ -189,18 +194,99 @@ class TestStreams:
         assert kinds == ["Book", "K4", "Other"]
 
 
+def stream_corpus(seed: int, chunks: float) -> str:
+    """Seeded graph6 lines filling ``chunks`` stream chunks, with blank,
+    padded, malformed and non-ASCII lines; one malformed line ends the first
+    chunk and another starts the second."""
+    rng = random.Random(seed)
+    lines = [g6(random_graph(rng, rng.randint(1, 10), rng.choice((0.3, 0.5, 0.8))))
+             for _ in range(int(chunks * STREAM_CHUNK))]
+    lines[STREAM_CHUNK - 1] = "C~~"
+    lines[STREAM_CHUNK] = "\u00e9"
+    lines[STREAM_CHUNK + 7] = "  " + lines[STREAM_CHUNK + 7] + "\t"
+    lines[-3] = "D"
+    text = ""
+    for line in lines:
+        text += line + "\n" + "\n" * (rng.random() < 0.05)
+    return text + "\n"
+
+
+class TestStreamWorkers:
+    @pytest.mark.parametrize("command", ["blocks", "witness"])
+    def test_output_identical_across_worker_counts(self, command):
+        text = stream_corpus(17, 3.5)
+        for fmt in ("json", "text"):
+            runs = [run_cli(command, "--format", fmt, "--workers", w, stdin_text=text)
+                    for w in ("1", "2", "8")]
+            assert runs[1] == runs[0] and runs[2] == runs[0], fmt
+            code, out, err = runs[0]
+            assert code == 1
+            assert len(out.splitlines()) == len([line for line in text.splitlines() if line])
+            assert [line.split(":")[0] for line in err.splitlines()] == [
+                f"line {i}" for i, line in enumerate(text.splitlines(), start=1)
+                if line.strip() in ("C~~", "\u00e9", "D")
+            ]
+
+    def test_one_chunk_starts_no_pool(self, tmp_path, pool_sizes):
+        source = tmp_path / "graphs.g6"
+        source.write_text((g6(book(2)) + "\n") * STREAM_CHUNK)
+        assert main(["blocks", "--input", str(source), "--output", str(tmp_path / "out"),
+                     "--workers", "8"]) == 0
+        assert pool_sizes == []
+
+    def test_pool_has_one_process_per_chunk(self, tmp_path, pool_sizes):
+        source = tmp_path / "graphs.g6"
+        source.write_text(stream_corpus(18, 2.1))
+        outputs = []
+        for workers in ("8", "1"):
+            target = tmp_path / f"out-{workers}"
+            assert main(["witness", "--input", str(source), "--output", str(target),
+                         "--workers", workers]) == 1
+            outputs.append(target.read_bytes())
+        assert pool_sizes == [3]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["blocks", "witness"])
+    def test_worker_count_guard(self, command):
+        for workers in ("0", "-2"):
+            code, out, err = run_cli(command, "--workers", workers, stdin_text=g6(book(2)) + "\n")
+            assert code == 64
+            assert out == b""
+            assert err == f"p4hat {command}: worker count must be >= 1, got {workers}\n"
+
+    def test_default_follows_cpu_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+        for argv in (["blocks"], ["witness"], ["search", "--n", "8", "--t", "9"]):
+            assert build_parser().parse_args(argv).workers == 3
+        monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity
+        assert build_parser().parse_args(["blocks"]).workers == 64
+
+
 class TestBrokenPipe:
-    def test_reader_closing_early_exits_141_without_traceback(self, tmp_path):
+    @staticmethod
+    def close_after_first_line(tmp_path, *args: str) -> tuple[int, str]:
+        """Run ``witness`` on 20,000 K4 lines, read one output line, close
+        stdout; return the exit code and stderr."""
         corpus = tmp_path / "k4s.g6"
         corpus.write_text((g6(complete(4)) + "\n") * 20_000)
-        proc = subprocess.Popen([sys.executable, "-m", "p4hat", "witness", "--input", str(corpus)],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-        # 20,000 output lines overfill the pipe, so the writer is still
-        # writing when the reader leaves
-        assert proc.stdout.readline().startswith(b'{"line": 1, ')
-        proc.stdout.close()
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=60) == 141
+        with subprocess.Popen([sys.executable, "-m", "p4hat", "witness", "--input", str(corpus),
+                               *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            # 20,000 output lines overfill the pipe, so the writer is still
+            # writing when the reader leaves
+            assert proc.stdout.readline().startswith(b'{"line": 1, ')
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)  # stderr ends once every worker has exited
+            return proc.returncode, err.decode()
+
+    def test_reader_closing_early_exits_141_without_traceback(self, tmp_path):
+        code, err = self.close_after_first_line(tmp_path)
+        assert code == 141
+        assert "Traceback" not in err
+
+    def test_reader_closing_early_with_a_pool(self, tmp_path):
+        code, err = self.close_after_first_line(tmp_path, "--workers", "2")
+        assert code == 141
         assert "Traceback" not in err
 
 

@@ -1,5 +1,4 @@
 import random
-from concurrent import futures
 from itertools import combinations
 from math import comb
 
@@ -258,26 +257,13 @@ class TestCounterexampleSearch:
         counterexample_search(7, 9, progress=lambda i, e: events.append((i, e)))
         assert events == [x for call in expected for x in ("scan", call)]
 
-    def test_pool_size(self, monkeypatch):
-        requested = []
-
-        class RecordingPool:
-            def __init__(self, processes, mp_context):
-                requested.append(processes)
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-            def shutdown(self, cancel_futures):
-                pass
-
-        monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    def test_pool_size(self, pool_sizes):
         counterexample_search(5, 5, workers=8)  # 2 subtrees
         counterexample_search(5, 6, workers=8)  # 1 subtree: no pool
         counterexample_search(7, 9, workers=1)  # 15 subtrees, one worker: no pool
         counterexample_search(7, 9, workers=64)
         enumerate_extremal_configs(7, 8, workers=3)  # 16 subtrees
-        assert requested == [2, 15, 3]
+        assert pool_sizes == [2, 15, 3]
 
     def test_visited_unions_carry_at_least_t_triangles(self):
         rng = random.Random(83)
