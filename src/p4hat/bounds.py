@@ -6,13 +6,16 @@ two case thresholds whose failure ranges force small n, a Cauchy-Schwarz
 floor for four-part compositions, and the structure of the sets
 X_i = N(u_i) - S around a K4 on S = {u_0..u_3} in a p4hat-free graph
 (pairwise disjoint, each inducing a graph with no 4-vertex path, i.e.
-components that are triangles or stars).  This module verifies each
-ingredient over explicit finite ranges; no symbolic algebra is attempted.
+components that are triangles or stars).  The audits check the floor
+identities at n = 12..19, case 1 at n = 17 and case 2 at n = 4..16, and
+their docstrings argue every larger n; Cauchy-Schwarz, a theorem for every
+m, is checked over compositions of m <= 32.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .blocks import decompose
 from .graphs import Graph, GuardError, _bits, enumerate_triangles
@@ -126,8 +129,8 @@ def neighborhood_structure(g: Graph, s: tuple[int, int, int, int]) -> K4Neighbor
     )
 
 
-# Both audits loop in Python over every n: at this cap they take about 4
-# and 5 s (2 vCPUs, Python 3.11).
+# n_max comes from outside input, so it is guarded even though neither
+# audit loops further as n_max grows; check-bounds exits 64 above the cap.
 AUDIT_N_MAX = 10**7
 
 
@@ -151,15 +154,17 @@ def floor_identity_audit(n_max: int) -> FloorIdentityReport:
 
         floor(n^2/8) - floor((n-1)^2/8) >= floor(n/4)
         floor(n^2/8) - floor((n-4)^2/8) == n - 2
+
+    n = 12..19 decide every n.  Since floor((n+8)^2/8) = floor(n^2/8) + 2n + 8,
+    moving from n to n + 8 adds 2 to both sides of the first identity and 8
+    to both sides of the second, so each holds at n + 8 exactly when it
+    holds at n.  The first violation, if there were one, would lie in 12..19.
     """
     _check_audit_range("floor_identity_audit", 12, n_max)
-    # c_j = floor((n-j)^2/8), kept as a window that slides with n
-    c4, c3, c2, c1 = (m * m // 8 for m in range(8, 12))
-    for n in range(12, n_max + 1):
-        c0 = n * n // 8
-        if c0 - c1 < n // 4 or c0 - c4 != n - 2:
+    for n in range(12, min(n_max, 19) + 1):
+        cap = n * n // 8
+        if cap - (n - 1) ** 2 // 8 < n // 4 or cap - (n - 4) ** 2 // 8 != n - 2:
             return FloorIdentityReport(12, n_max, False, n)
-        c4, c3, c2, c1 = c3, c2, c1, c0
     return FloorIdentityReport(12, n_max, True, None)
 
 
@@ -184,36 +189,39 @@ def case_threshold_audit(n_max: int = 200) -> CaseThresholdReport:
     """Confirm the two numeric thresholds behind the induction cases.
 
     All comparisons are exact: both sides are scaled by 12 to stay in
-    integers.
+    integers.  Only n = 17 and n = 4..16 are checked, because n^2 is 0, 1
+    or 4 (mod 8), so (n^2 - 4)/8 <= floor(n^2/8) <= n^2/8.  The lower bound
+    reduces case 1 to 3n^2 - 52n + 158 > 0, true for every n >= 14, and
+    case 2 to n^2 - 16n + 12 > 0, true for every n >= 16.  By the upper
+    bound case 2 needs n^2 - 16n + 24 > 0, false for 2 <= n <= 14.
     """
     _check_audit_range("case_threshold_audit", 17, n_max)
-
-    case1_bad = []
-    for n in range(17, n_max + 1, 3):  # 17 = 2 (mod 3)
-        lhs = 36 * (n * n // 8 + 1)  # 12 * 3 * (floor + 1)
-        rhs = 3 * n * n + 26 * n - 61
-        if not lhs > rhs:
-            case1_bad.append(n)
-
-    case2_bad = []
-    for n in range(4, n_max + 1):
-        holds = 12 * (n * n // 8 + 1) > n * (n + 8)
-        if holds != (n >= 15):
-            case2_bad.append(n)
-
-    cs_ok = True
-    for m in range(33):
-        for x0 in range(m + 1):
-            for x1 in range(m - x0 + 1):
-                for x2 in range(m - x0 - x1 + 1):
-                    x3 = m - x0 - x1 - x2
-                    if 4 * (x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3) < m * m:
-                        cs_ok = False
+    case1_bad = [  # 17 = 2 (mod 3); both sides times 12
+        n for n in range(17, min(n_max, 17) + 1, 3)
+        if not 36 * (n * n // 8 + 1) > 3 * n * n + 26 * n - 61
+    ]
+    case2_bad = [
+        n for n in range(4, min(n_max, 16) + 1)
+        if (12 * (n * n // 8 + 1) > n * (n + 8)) != (n >= 15)
+    ]
     return CaseThresholdReport(
         n_max=n_max,
         case1_ok=not case1_bad,
         case1_violations=tuple(case1_bad),
         case2_ok=not case2_bad,
         case2_violations=tuple(case2_bad),
-        cauchy_schwarz_ok=cs_ok,
+        cauchy_schwarz_ok=_cauchy_schwarz_ok(),
     )
+
+
+@cache
+def _cauchy_schwarz_ok() -> bool:
+    """The report's ``cauchy_schwarz_ok``, computed once: n_max plays no part."""
+    for m in range(33):
+        for x0 in range(m + 1):
+            for x1 in range(m - x0 + 1):
+                for x2 in range(m - x0 - x1 + 1):
+                    x3 = m - x0 - x1 - x2
+                    if 4 * (x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3) < m * m:
+                        return False
+    return True

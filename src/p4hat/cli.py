@@ -60,13 +60,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(doc: dict[str, Any], args: argparse.Namespace, out: TextIO) -> None:
+Fields = tuple[dict[str, Any], bool]  # a document's or line's fields, and "found"
+
+
+def _cmd_document(build: Callable[[argparse.Namespace], Fields],
+                  args: argparse.Namespace, out: TextIO) -> int:
+    """Write ``build(args)`` headed by ``schema_version`` and ``command``; exit 2 on a find."""
+    fields, found = build(args)
+    doc = {"schema_version": SCHEMA_VERSION, "command": args.command, **fields}
     if args.format == "json":
         out.write(json.dumps(doc, indent=2))
         out.write("\n")
     else:
         for key, value in doc.items():
             out.write(f"{key}: {value}\n")
+    return EXIT_FOUND if found else EXIT_OK
 
 
 def _emit_line(doc: dict[str, Any], fmt: str, out: TextIO) -> None:
@@ -78,7 +86,7 @@ def _emit_line(doc: dict[str, Any], fmt: str, out: TextIO) -> None:
         out.write("\n")
 
 
-def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
+def _search(args: argparse.Namespace) -> Fields:
     def progress(chunk: int, examined: int) -> None:
         print(f"chunk {chunk}: {examined} subsets", file=sys.stderr)
 
@@ -88,8 +96,6 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
           f"({args.workers} workers, {report.nodes_visited} nodes visited)", file=sys.stderr)
 
     doc: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "search",
         "n": args.n,
         "t": args.t,
         "candidate_count": len(candidate_triangles(args.n)),
@@ -105,33 +111,28 @@ def _cmd_search(args: argparse.Namespace, out: TextIO) -> int:
             "triangles": count_triangles(report.counterexample),
             "rank": report.counterexample_rank,
         }
-    _emit(doc, args, out)
-    return EXIT_FOUND if report.outcome == "counterexample" else EXIT_OK
+    return doc, report.outcome == "counterexample"
 
 
 def _g6(g: Graph) -> str:
     return encode_graph6(g).decode("ascii")
 
 
-def _cmd_extremal(args: argparse.Namespace, out: TextIO) -> int:
+def _extremal(args: argparse.Namespace) -> Fields:
     started = time.perf_counter()
     value, configs = extremal_value(args.n, workers=args.workers)
     print(f"extremal n={args.n}: {time.perf_counter() - started:.2f}s", file=sys.stderr)
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "extremal",
+    return {
         "n": args.n,
         "ex_value": value,
         "method": ("exhaustive-enumeration" if args.n <= EXHAUSTIVE_MAX_VERTICES
                    else "pruned-search"),
         "config_count": len(configs),
         "configs": [_g6(g) for g in configs],  # already in canonical form
-    }
-    _emit(doc, args, out)
-    return EXIT_OK
+    }, False
 
 
-def _cmd_verify_construction(args: argparse.Namespace, out: TextIO) -> int:
+def _verify_construction(args: argparse.Namespace) -> Fields:
     family = FAMILIES[args.family]
     n = args.n
     if n is None:
@@ -148,8 +149,6 @@ def _cmd_verify_construction(args: argparse.Namespace, out: TextIO) -> int:
         "p4hat_free_match": (witness is None) == expected_free,
     }
     doc: dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify-construction",
         "family": args.family,
         "parameter": n,
         "vertices": graph.n,
@@ -167,15 +166,14 @@ def _cmd_verify_construction(args: argparse.Namespace, out: TextIO) -> int:
         doc["graph6"] = _g6(graph)
     doc["checks"] = checks
     doc["passed"] = all(checks.values())
-    _emit(doc, args, out)
-    return EXIT_OK if doc["passed"] else EXIT_FOUND
+    return doc, not doc["passed"]
 
 
 STREAM_CHUNK = 500  # non-blank input lines per unit of work
 
 
 def _cmd_stream(
-    describe: Callable[[Graph], tuple[dict[str, Any], bool]],
+    describe: Callable[[Graph], Fields],
     args: argparse.Namespace,
     out: TextIO,
 ) -> int:
@@ -214,7 +212,7 @@ def _chunks(stream: Iterable[bytes]) -> Iterator[list[tuple[int, bytes]]]:
 
 
 def _stream_chunk(
-    describe: Callable[[Graph], tuple[dict[str, Any], bool]],
+    describe: Callable[[Graph], Fields],
     fmt: str,
     chunk: list[tuple[int, bytes]],
 ) -> tuple[str, str, int, int]:
@@ -235,7 +233,7 @@ def _stream_chunk(
     return out.getvalue(), err.getvalue(), errors, found
 
 
-def _block_fields(graph: Graph) -> tuple[dict[str, Any], bool]:
+def _block_fields(graph: Graph) -> Fields:
     dec = decompose(graph)
     blocks = [
         {
@@ -249,19 +247,17 @@ def _block_fields(graph: Graph) -> tuple[dict[str, Any], bool]:
     return {"n": graph.n, "blocks": blocks, "stray_edges": [list(e) for e in dec.stray_edges]}, False
 
 
-def _witness_fields(graph: Graph) -> tuple[dict[str, Any], bool]:
+def _witness_fields(graph: Graph) -> Fields:
     witness = contains_suspension_p4(graph)
     if witness is None:
         return {"status": "p4hat-free"}, False
     return {"status": "witness", "apex": witness.apex, "path": list(witness.path)}, True
 
 
-def _cmd_check_bounds(args: argparse.Namespace, out: TextIO) -> int:
+def _check_bounds(args: argparse.Namespace) -> Fields:
     floors = floor_identity_audit(args.n_max)
     cases = case_threshold_audit(max(args.n_max, 17))
     doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "check-bounds",
         "n_max": args.n_max,
         "floor_identities": {
             "checked_from": floors.n_min,
@@ -279,8 +275,7 @@ def _cmd_check_bounds(args: argparse.Namespace, out: TextIO) -> int:
         },
         "passed": floors.ok and cases.passed,
     }
-    _emit(doc, args, out)
-    return EXIT_OK if doc["passed"] else EXIT_FOUND
+    return doc, not doc["passed"]
 
 
 def _available_cpus() -> int:
@@ -305,30 +300,31 @@ def build_parser() -> _Parser:
     stream = argparse.ArgumentParser(add_help=False)
     stream.add_argument("--input", default="-", help="input path, '-' for stdin")
 
-    def command(name: str, summary: str, run: Callable[..., int],
+    def command(name: str, summary: str, fields: Callable[..., Fields],
                 *shared: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        # a stream command describes each input graph; the rest write one document
         p = sub.add_parser(name, help=summary, parents=[*shared, output])
-        p.set_defaults(run=run)
+        p.set_defaults(run=partial(_cmd_stream if stream in shared else _cmd_document, fields))
         return p
 
-    p = command("search", "pruned subset search for (n, t)", _cmd_search, workers)
+    p = command("search", "pruned subset search for (n, t)", _search, workers)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
 
-    p = command("extremal", "extremal value and configurations", _cmd_extremal, workers)
+    p = command("extremal", "extremal value and configurations", _extremal, workers)
     p.add_argument("--n", type=int, required=True)
 
-    p = command("verify-construction", "check a lower-bound family", _cmd_verify_construction)
+    p = command("verify-construction", "check a lower-bound family", _verify_construction)
     p.add_argument("--family", choices=sorted(FAMILIES), required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--emit-graph6", action="store_true")
 
     command("blocks", "triangle-block decomposition of graph6 lines",
-            partial(_cmd_stream, _block_fields), stream, workers)
+            _block_fields, stream, workers)
     command("witness", "forbidden-pattern witnesses for graph6 lines",
-            partial(_cmd_stream, _witness_fields), stream, workers)
+            _witness_fields, stream, workers)
 
-    p = command("check-bounds", "floor identities and case thresholds", _cmd_check_bounds)
+    p = command("check-bounds", "floor identities and case thresholds", _check_bounds)
     p.add_argument("--n-max", type=int, default=1000000)
 
     return parser

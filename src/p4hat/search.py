@@ -44,7 +44,6 @@ in floor(n/2) >= 2 triangles.  An oracle over all labeled graphs covers n <= 7.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -205,7 +204,7 @@ class SearchReport:
     ``graphs_examined`` counts the colex ranks covered, pruned subtrees
     included.  ``nodes_visited`` counts detector calls in the subtrees read,
     up to and including the one that holds the counterexample.  Every field
-    except ``elapsed`` is independent of the worker count.
+    is independent of the worker count.
     """
 
     outcome: str  # "exhausted" | "counterexample"
@@ -215,7 +214,6 @@ class SearchReport:
     counterexample: Graph | None
     counterexample_rank: int | None
     nonexistence_certified: bool
-    elapsed: float
 
 
 def counterexample_search(
@@ -231,15 +229,14 @@ def counterexample_search(
     p4hat-free graph holds >= t triangles whenever t > floor(n^2/8)
     (reported as ``nonexistence_certified``).  A found union is returned as
     the counterexample with the least colex rank; ``graphs_examined`` is
-    then the number of ranks up to and including it.  Every field but
-    ``elapsed`` is identical for every worker count.
+    then the number of ranks up to and including it.  The report is
+    identical for every worker count.
     """
     if not 5 <= n <= SEARCH_MAX_VERTICES:
         raise GuardError(f"counterexample_search supports 5 <= n <= {SEARCH_MAX_VERTICES}")
     if t < 3:
         raise GuardError(f"target triangle count must be >= 3, got {t}")
 
-    started = time.perf_counter()
     cands = candidate_triangles(n)
     k = t - 2
 
@@ -251,18 +248,14 @@ def counterexample_search(
         graph = Graph(n, rows)
         excess = 1 if count_triangles(graph) > t else 0
         return SearchReport(
-            "counterexample", winner_rank + 1, nodes, excess, graph, winner_rank,
-            False, time.perf_counter() - started,
+            "counterexample", winner_rank + 1, nodes, excess, graph, winner_rank, False
         )
 
     examined = sum(r[0] for r in results)
     total = comb(len(cands), k)
     if examined != total:
         raise AssertionError(f"exhausted scan examined {examined} of {total} subsets")
-    return SearchReport(
-        "exhausted", examined, nodes, 0, None, None, t > n * n // 8,
-        time.perf_counter() - started,
-    )
+    return SearchReport("exhausted", examined, nodes, 0, None, None, t > n * n // 8)
 
 
 def exhaustive_oracle(n: int) -> tuple[int, list[Graph]]:

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -14,7 +15,12 @@ from p4hat import (
     sixteen_vertex,
     small_extremal,
 )
-from p4hat.bounds import AUDIT_N_MAX, _check_audit_range, _component_kinds
+from p4hat.bounds import (
+    AUDIT_N_MAX,
+    CaseThresholdReport,
+    FloorIdentityReport,
+    _component_kinds,
+)
 from conftest import sample_p4hat_free
 
 
@@ -121,7 +127,7 @@ class TestFloorIdentities:
         assert cap(13) - cap(9) == 11 == 13 - 2
 
     def test_audit_10k(self):
-        # 12..16 cover the start of the audit's sliding window
+        # 12..16 lie inside the range 12..19 that the audit checks, 10,000 past it
         for n_max in (12, 13, 15, 16, 10_000):
             report = floor_identity_audit(n_max)
             assert (report.n_min, report.n_max) == (12, n_max)
@@ -154,11 +160,78 @@ class TestCaseThresholds:
             case_threshold_audit(10)
 
 
+def _sweep(n_top: int) -> tuple[list[int], list[int], list[int], bool]:
+    """The second route: every inequality at every n up to n_top, with none
+    of the audits' arguments.  Returns the n where the floor identities,
+    case 1 and case 2 fail, and the Cauchy-Schwarz verdict."""
+    floors = [
+        n for n in range(12, n_top + 1)
+        if not (n * n // 8 - (n - 1) ** 2 // 8 >= n // 4
+                and n * n // 8 - (n - 4) ** 2 // 8 == n - 2)
+    ]
+    case1 = [
+        n for n in range(17, n_top + 1)
+        if n % 3 == 2 and not 12 * 3 * (n * n // 8 + 1) > 3 * n * n + 26 * n - 61
+    ]
+    case2 = [
+        n for n in range(4, n_top + 1)
+        if (12 * (n * n // 8 + 1) > n * (n + 8)) != (n >= 15)
+    ]
+    cauchy_schwarz = all(
+        4 * (x0 * x0 + x1 * x1 + x2 * x2 + (m - x0 - x1 - x2) ** 2) >= m * m
+        for m in range(33)
+        for x0, x1, x2 in product(range(m + 1), repeat=3)
+        if x0 + x1 + x2 <= m
+    )
+    return floors, case1, case2, cauchy_schwarz
+
+
+class TestAuditsAgainstSweep:
+    """Each audit checks a fixed short range and argues the rest; a plain
+    per-n sweep must give the same report for every n_max."""
+
+    N_MAXES = [*range(12, 3001), 10**6]
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        return _sweep(max(self.N_MAXES))
+
+    def test_sweep_finds_no_violation(self, sweep):
+        assert sweep == ([], [], [], True)
+
+    def test_docstring_arguments(self):
+        # the facts the audits' docstrings use to cover every n past their ranges
+        for n in range(10_000):
+            assert (n + 8) ** 2 // 8 == n * n // 8 + 2 * n + 8
+            assert n * n % 8 in (0, 1, 4)
+            assert (3 * n * n - 52 * n + 158 > 0) == (n >= 14 or n <= 3)
+            assert (n * n - 16 * n + 12 > 0) == (n >= 16 or n == 0)
+            assert (n * n - 16 * n + 24 > 0) == (n >= 15 or n <= 1)
+
+    def test_floor_identities(self, sweep):
+        floors = sweep[0]
+        for n_max in self.N_MAXES:
+            first = next((n for n in floors if n <= n_max), None)
+            expected = FloorIdentityReport(12, n_max, first is None, first)
+            assert floor_identity_audit(n_max) == expected
+
+    def test_case_thresholds(self, sweep):
+        _, case1, case2, cauchy_schwarz = sweep
+        for n_max in self.N_MAXES:
+            if n_max < 17:
+                continue
+            bad1 = tuple(n for n in case1 if n <= n_max)
+            bad2 = tuple(n for n in case2 if n <= n_max)
+            expected = CaseThresholdReport(n_max, not bad1, bad1, not bad2, bad2, cauchy_schwarz)
+            assert case_threshold_audit(n_max) == expected
+
+
 class TestAuditCap:
     def test_cap_admits_10_million_and_no_more(self):
-        # the guard itself at the cap: running both audits there takes ~9 s
+        # neither audit loops further as n_max grows, so both run at the cap
         assert AUDIT_N_MAX == 10**7
-        _check_audit_range("floor_identity_audit", 12, 10**7)
+        assert floor_identity_audit(10**7).ok
+        assert case_threshold_audit(10**7).passed
         for audit in (floor_identity_audit, case_threshold_audit):
             with pytest.raises(GuardError, match=f"{audit.__name__} needs n_max <= 10000000"):
                 audit(10**7 + 1)

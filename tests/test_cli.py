@@ -316,6 +316,53 @@ class TestCheckBounds:
         assert doc["passed"] is True
         assert doc["floor_identities"]["ok"] is True
 
+    @pytest.mark.parametrize("n_max", [12, 1000000])
+    def test_exact_json(self, n_max):
+        code, out, err = run_cli("check-bounds", "--n-max", str(n_max))
+        assert (code, err) == (0, "")
+        cases_to = max(n_max, 17)
+        assert out.decode() == f"""{{
+  "schema_version": 1,
+  "command": "check-bounds",
+  "n_max": {n_max},
+  "floor_identities": {{
+    "checked_from": 12,
+    "checked_to": {n_max},
+    "ok": true,
+    "first_violation": null
+  }},
+  "case_thresholds": {{
+    "checked_to": {cases_to},
+    "case1_ok": true,
+    "case1_violations": [],
+    "case2_ok": true,
+    "case2_violations": [],
+    "cauchy_schwarz_ok": true
+  }},
+  "passed": true
+}}
+"""
+
+    def test_exact_text(self):
+        code, out, err = run_cli("check-bounds", "--n-max", "12", "--format", "text")
+        assert (code, err) == (0, "")
+        assert out.decode() == (
+            "schema_version: 1\n"
+            "command: check-bounds\n"
+            "n_max: 12\n"
+            "floor_identities: {'checked_from': 12, 'checked_to': 12, 'ok': True, "
+            "'first_violation': None}\n"
+            "case_thresholds: {'checked_to': 17, 'case1_ok': True, 'case1_violations': [], "
+            "'case2_ok': True, 'case2_violations': [], 'cauchy_schwarz_ok': True}\n"
+            "passed: True\n"
+        )
+
+    def test_n_max_floor_usage_error(self):
+        code, out, err = run_cli("check-bounds", "--n-max", "11")
+        assert code == 64
+        assert out == b""
+        assert err == "p4hat check-bounds: floor_identity_audit needs n_max >= 12, got 11\n"
+
     def test_n_max_cap_usage_error(self):
         code, out, err = run_cli("check-bounds", "--n-max", "10000001")
         assert code == 64

@@ -206,17 +206,15 @@ class TestCounterexampleSearch:
 
     def test_8_8_counterexample_deterministic_across_workers(self):
         reports = [counterexample_search(8, 8, workers=w) for w in (1, 2, 8)]
-        for rep in reports:
-            assert rep.outcome == "counterexample"
-            assert is_p4hat_free(rep.counterexample)
-            assert count_triangles(rep.counterexample) >= 8
-        assert len({rep.counterexample_rank for rep in reports}) == 1
-        assert len({rep.counterexample for rep in reports}) == 1
-        assert len({rep.graphs_examined for rep in reports}) == 1
+        assert reports[0].outcome == "counterexample"
+        assert is_p4hat_free(reports[0].counterexample)
+        assert count_triangles(reports[0].counterexample) >= 8
+        assert reports == [reports[0]] * 3  # whole reports, every field
 
     def test_7_9_deterministic_across_workers(self):
         reports = [counterexample_search(7, 9, workers=w) for w in (1, 2, 8)]
-        assert len({(r.outcome, r.graphs_examined) for r in reports}) == 1
+        assert reports[0].outcome == "exhausted"
+        assert reports == [reports[0]] * 3
 
     def test_wide_stride_vertex_counts(self):
         # n = 9 and n = 10: the sizes above n = 8 that the search guard admits
