@@ -29,7 +29,8 @@ print(f"case 1 (n >= 17, n = 2 mod 3): contradiction confirmed, "
       f"violations = {list(cases.case1_violations)}")
 print(f"case 2: floor(n^2/8)+1 > n(n+8)/12 exactly from n = 15 on, "
       f"violations = {list(cases.case2_violations)}")
-print(f"cauchy-schwarz floor over compositions (m <= 32): {cases.cauchy_schwarz_ok}")
+print(f"cauchy-schwarz floor for every composition, 4*sum x_i^2 - m^2 = "
+      f"sum (x_i - x_j)^2 >= 0: {cases.cauchy_schwarz_ok}")
 
 print()
 print("sample values behind case 2:")

@@ -8,18 +8,17 @@ X_i = N(u_i) - S around a K4 on S = {u_0..u_3} in a p4hat-free graph
 (pairwise disjoint, each inducing a graph with no 4-vertex path, i.e.
 components that are triangles or stars).  The audits check the floor
 identities at n = 12..19, case 1 at n = 17 and case 2 at n = 4..16, and
-their docstrings argue every larger n; Cauchy-Schwarz, a theorem for every
-m, is checked over compositions of m <= 32.
+their docstrings argue every larger n.  Cauchy-Schwarz holds for every m
+by a polynomial identity, checked on the 81 points of {0,1,2}^4.  Each
+field of the K4 report is read off the X_i by the argument that proves it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from itertools import combinations, product
 
-from .blocks import decompose
 from .graphs import Graph, GuardError, _bits, enumerate_triangles
-from .patterns import _mask_has_path4
 
 
 @dataclass(frozen=True)
@@ -39,13 +38,11 @@ class K4NeighborhoodReport:
     ts_identity: str  # "holds" | "violated" | "not_applicable"
 
 
-def _component_kinds(adj: tuple[int, ...], members: tuple[int, ...]) -> tuple[str, ...]:
-    mask = 0
-    for v in members:
-        mask |= 1 << v
+def _component_kinds(adj: tuple[int, ...], mask: int) -> tuple[str, ...]:
+    """The kind of each component of the subgraph induced on ``mask``."""
     kinds = []
     seen = 0
-    for v in members:
+    for v in _bits(mask):
         vb = 1 << v
         if seen & vb:
             continue
@@ -71,14 +68,30 @@ def _component_kinds(adj: tuple[int, ...], members: tuple[int, ...]) -> tuple[st
 
 
 def neighborhood_structure(g: Graph, s: tuple[int, int, int, int]) -> K4NeighborhoodReport:
-    """Analyze X_i = N(u_i) - S for the K4 induced on ``s``."""
+    """Analyze X_i = N(u_i) - S for the K4 induced on ``s``.
+
+    The block of S grows past its six edges only through a triangle on an
+    S-edge u_iu_j whose third vertex x lies outside S, and x is such a
+    vertex exactly when x is in X_i and X_j.  So ``s_block_is_maximal`` is
+    ``disjoint``.  (In a p4hat-free graph both hold: x in X_i and X_j would
+    give apex u_i the path x-u_j-u_k-u_l.)
+
+    A connected graph with no 4-vertex path is a triangle or a star: a
+    spanning tree that is not a star holds a 4-vertex path, and so does a
+    star with a third leaf d and an edge ab between leaves, as d-c-a-b
+    through its centre c; on 3 vertices only the triangle is not a star.
+    So ``x_p4_free[i]`` says that no component of X_i is "other".
+
+    ``triangles_meeting_s`` is counted over the whole graph.  When the
+    block is maximal, a triangle other than the K4's four meets S in one
+    u_i, and its other two vertices are an edge of X_i, so the count must
+    equal sum e(X_i) + 4: ``ts_identity`` compares the two.
+    """
     s = tuple(s)
     if len(set(s)) != 4 or any(not 0 <= v < g.n for v in s):
         raise GuardError(f"S must be 4 distinct vertices of the graph, got {s}")
     adj = g.adj
-    smask = 0
-    for v in s:
-        smask |= 1 << v
+    smask = sum(1 << v for v in s)
     for v in s:
         if (adj[v] & smask).bit_count() != 3:
             raise GuardError(f"S = {s} does not induce a K4")
@@ -86,35 +99,12 @@ def neighborhood_structure(g: Graph, s: tuple[int, int, int, int]) -> K4Neighbor
     x_masks = [adj[v] & ~smask for v in s]
     x_sets = tuple(tuple(_bits(m)) for m in x_masks)
     x_sizes = tuple(m.bit_count() for m in x_masks)
-    x_edges = tuple(
-        sum((adj[u] & m).bit_count() for u in _bits(m)) // 2 for m in x_masks
-    )
-    union = 0
-    disjoint = True
-    for m in x_masks:
-        if union & m:
-            disjoint = False
-        union |= m
-
-    kinds = tuple(_component_kinds(adj, xs) for xs in x_sets)
-    p4_free = tuple(not _mask_has_path4(adj, m) for m in x_masks)
-
+    x_edges = tuple(sum((adj[u] & m).bit_count() for u in _bits(m)) // 2 for m in x_masks)
+    disjoint = sum(x_sizes) == len(set().union(*x_sets))
+    kinds = tuple(_component_kinds(adj, m) for m in x_masks)
     t_s = sum(1 for tri in enumerate_triangles(g) if any(v in s for v in tri))
-
-    s_edges = {tuple(sorted((u, v))) for i, u in enumerate(s) for v in s[i + 1:]}
-    maximal = False
-    for block in decompose(g).blocks:
-        if s_edges & set(block.edges):
-            maximal = set(block.edges) == s_edges
-            break
-
-    if not maximal:
-        verdict = "not_applicable"
-    elif t_s == sum(x_edges) + 4:
-        verdict = "holds"
-    else:
-        verdict = "violated"
-
+    verdict = ("not_applicable" if not disjoint
+               else "holds" if t_s == sum(x_edges) + 4 else "violated")
     return K4NeighborhoodReport(
         s_vertices=s,
         x_sets=x_sets,
@@ -122,9 +112,9 @@ def neighborhood_structure(g: Graph, s: tuple[int, int, int, int]) -> K4Neighbor
         x_edge_counts=x_edges,
         disjoint=disjoint,
         component_kinds=kinds,
-        x_p4_free=p4_free,
+        x_p4_free=tuple("other" not in k for k in kinds),
         triangles_meeting_s=t_s,
-        s_block_is_maximal=maximal,
+        s_block_is_maximal=disjoint,
         ts_identity=verdict,
     )
 
@@ -177,7 +167,8 @@ class CaseThresholdReport:
     # floor(n^2/8) + 1 > n(n+8)/12 exactly for n >= 15 (within 4..n_max)
     case2_ok: bool
     case2_violations: tuple[int, ...]
-    # 4 * (x0^2+x1^2+x2^2+x3^2) >= (x0+x1+x2+x3)^2 over compositions of m <= 32
+    # 4 * (x0^2+x1^2+x2^2+x3^2) >= (x0+x1+x2+x3)^2 for all integers x_i: the
+    # difference is the sum of (x_i - x_j)^2 over i < j
     cauchy_schwarz_ok: bool
 
     @property
@@ -214,14 +205,20 @@ def case_threshold_audit(n_max: int = 200) -> CaseThresholdReport:
     )
 
 
-@cache
 def _cauchy_schwarz_ok() -> bool:
-    """The report's ``cauchy_schwarz_ok``, computed once: n_max plays no part."""
-    for m in range(33):
-        for x0 in range(m + 1):
-            for x1 in range(m - x0 + 1):
-                for x2 in range(m - x0 - x1 + 1):
-                    x3 = m - x0 - x1 - x2
-                    if 4 * (x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3) < m * m:
-                        return False
-    return True
+    """The report's ``cauchy_schwarz_ok``: the identity
+
+        4 * sum x_i^2 - (sum x_i)^2 == sum over i < j of (x_i - x_j)^2
+
+    holds on {0,1,2}^4, so it holds for all x and the left side is never
+    negative.  The difference of the two sides has degree <= 2 in each
+    variable.  As a polynomial in x_0 whose coefficients are polynomials in
+    x_1..x_3, it has the three roots 0, 1, 2 at each point of {0,1,2}^3,
+    so each coefficient vanishes there; by induction on the number of
+    variables each coefficient, and so the difference, is zero.
+    """
+    return all(
+        4 * sum(v * v for v in x) - sum(x) ** 2
+        == sum((a - b) ** 2 for a, b in combinations(x, 2))
+        for x in product(range(3), repeat=4)
+    )

@@ -337,6 +337,7 @@ def _fail(args: argparse.Namespace, exc: Exception) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    created = None  # the output path, when this run creates the file
     with contextlib.ExitStack() as files:
         try:
             # input first, so a missing input leaves no empty output file;
@@ -344,8 +345,10 @@ def main(argv: list[str] | None = None) -> int:
             if "input" in args:
                 args.input = (sys.stdin.buffer if args.input == "-"
                               else files.enter_context(open(args.input, "rb")))
-            out: TextIO = (sys.stdout if args.output == "-"
-                           else files.enter_context(open(args.output, "w", encoding="ascii")))
+            out: TextIO = sys.stdout
+            if args.output != "-":
+                created = None if os.path.exists(args.output) else args.output
+                out = files.enter_context(open(args.output, "w", encoding="ascii"))
         except OSError as exc:
             return _fail(args, exc)
         try:
@@ -353,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
             out.flush()  # a closed reader surfaces here, not at exit
             return code
         except (GuardError, GraphError) as exc:
+            if created is not None:  # a usage error leaves no empty output file
+                out.close()
+                os.remove(created)
             return _fail(args, exc)
         except BrokenPipeError:
             # the reader stopped early; what is still buffered goes to

@@ -100,7 +100,10 @@ def candidate_triangles(n: int) -> list[Triangle]:
 # -- colexicographic subset ranking -------------------------------------------
 
 def colex_rank(subset: Sequence[int]) -> int:
-    return sum(comb(c, j + 1) for j, c in enumerate(sorted(subset)))
+    elements = sorted(subset)
+    if len(set(elements)) < len(elements) or any(c < 0 for c in elements):
+        raise GuardError(f"colex_rank needs distinct elements >= 0, got {tuple(subset)}")
+    return sum(comb(c, j + 1) for j, c in enumerate(elements))
 
 
 def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
@@ -127,13 +130,14 @@ def _row_bits(tris: Sequence[Triangle]) -> tuple[tuple[tuple[int, int], ...], ..
                  for a, b, c in tris)
 
 
-def _scan(n, cand_bits, k, top, first):
+def _scan(seed, cand_bits, k, top, first):
     """Walk the subtree of k-subsets of candidates whose largest element is
-    ``top``: the colex ranks [C(top, k), C(top + 1, k)).
+    ``top``: the colex ranks [C(top, k), C(top + 1, k)), on the
+    n = len(seed) vertices of the seed's adjacency rows.
 
     Subset elements are chosen from the largest down, so subsets are met in
     colex order: choosing element m at level j spans the ranks
-    [base + C(m, j), base + C(m + 1, j)).  A node's union is the fixed pair
+    [base + C(m, j), base + C(m + 1, j)).  A node's union is the seed
     plus the triangles chosen so far: a copy of its parent's rows with
     triangle m's bits OR-ed in.  Every union is tested; adding triangles
     never removes the pattern, so a node whose union contains it is skipped
@@ -144,6 +148,7 @@ def _scan(n, cand_bits, k, top, first):
     Returns (examined, nodes, hits): ranks covered, detector calls, and the
     hits as (rank, adjacency rows) pairs in colex order.
     """
+    n = len(seed)
     combt = [[comb(m, j) for j in range(k + 1)] for m in range(top + 1)]
     hits: list[tuple[int, tuple[int, ...]]] = []
     examined = nodes = 0
@@ -168,7 +173,7 @@ def _scan(n, cand_bits, k, top, first):
                     return True
         return False
 
-    walk(k, (top,), 0, list(union_of_triangles(n, FIXED_TRIANGLES).adj))
+    walk(k, (top,), 0, list(seed))
     return examined, nodes, hits
 
 
@@ -181,9 +186,10 @@ def _scan_subtrees(first, n, cands, k, workers, progress=None):
     In "first" mode the read ends at the first subtree with a hit and the
     subtrees not yet started are cancelled, so the results never depend on
     the worker count.  ``progress(i, examined)`` is called as the result of
-    subtree i is read.
+    subtree i is read.  Every subtree starts from the fixed pair's rows.
     """
-    scan = partial(_scan, n, _row_bits(cands), k, first=first)
+    seed = union_of_triangles(n, FIXED_TRIANGLES).adj
+    scan = partial(_scan, seed, _row_bits(cands), k, first=first)
     results = []
     with ordered_map(scan, range(k - 1, len(cands)), workers) as scanned:
         for i, result in enumerate(scanned):

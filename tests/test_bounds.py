@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -15,13 +15,41 @@ from p4hat import (
     sixteen_vertex,
     small_extremal,
 )
+from p4hat.blocks import decompose
 from p4hat.bounds import (
     AUDIT_N_MAX,
     CaseThresholdReport,
     FloorIdentityReport,
     _component_kinds,
 )
+from p4hat.patterns import _mask_has_path4, _rows_contain_suspension
 from conftest import sample_p4hat_free
+
+
+def _graphs_with_k4(rng, count):
+    """Seeded (graph, S) pairs on 4..12 vertices with a K4 on a random S:
+    every other graph is grown p4hat-free around the K4, the rest are
+    random graphs of density 0.3..0.9 with the K4 added."""
+    for i in range(count):
+        n = rng.randint(4, 12)
+        p = rng.uniform(0.3, 0.9)
+        s = tuple(rng.sample(range(n), 4))
+        edges = set(combinations(sorted(s), 2))
+        others = [e for e in combinations(range(n), 2) if e not in edges]
+        rng.shuffle(others)
+        for e in others:
+            if rng.random() < p and (
+                    i % 2 == 0 or not _rows_contain_suspension(from_edges(n, edges | {e}).adj, n)):
+                edges.add(e)
+        yield from_edges(n, edges), s
+
+
+def _block_is_maximal(g, s):
+    """Reference from the whole decomposition: the block holding S's edges
+    has no other edge."""
+    s_edges = set(combinations(sorted(s), 2))
+    block = next(b for b in decompose(g).blocks if s_edges & set(b.edges))
+    return set(block.edges) == s_edges
 
 
 class TestFindK4:
@@ -95,6 +123,20 @@ class TestNeighborhoodStructure:
                 assert rep.ts_identity == "holds"
         assert analyzed >= 20  # the sampler produces K4s often enough to matter
 
+    def test_derived_fields_match_references(self):
+        # s_block_is_maximal against decompose, x_p4_free against the detector
+        rng = random.Random(97)
+        seen = {"free": 0, "not free": 0, "not maximal": 0, "X_i with a 4-path": 0}
+        for g, s in _graphs_with_k4(rng, 600):
+            rep = neighborhood_structure(g, s)
+            assert rep.s_block_is_maximal == _block_is_maximal(g, s)
+            paths = tuple(_mask_has_path4(g.adj, sum(1 << v for v in x)) for x in rep.x_sets)
+            assert rep.x_p4_free == tuple(not p for p in paths)
+            seen["not free" if _rows_contain_suspension(g.adj, g.n) else "free"] += 1
+            seen["not maximal"] += not rep.s_block_is_maximal
+            seen["X_i with a 4-path"] += any(paths)
+        assert min(seen.values()) >= 100, seen
+
     def test_constructions_with_k4(self):
         for g in (complete(4), small_extremal(5), small_extremal(6),
                   small_extremal(7), sixteen_vertex()):
@@ -109,11 +151,11 @@ class TestNeighborhoodStructure:
 class TestComponentKinds:
     def test_star_and_triangle(self):
         g = from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 5), (4, 6), (5, 6)])
-        assert _component_kinds(g.adj, tuple(range(7))) == ("star", "triangle")
+        assert _component_kinds(g.adj, 0b1111111) == ("star", "triangle")
 
     def test_path4_is_other(self):
         g = from_edges(4, [(0, 1), (1, 2), (2, 3)])
-        assert _component_kinds(g.adj, (0, 1, 2, 3)) == ("other",)
+        assert _component_kinds(g.adj, 0b1111) == ("other",)
 
 
 class TestFloorIdentities:

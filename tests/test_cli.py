@@ -307,6 +307,18 @@ class TestUnopenablePaths:
         assert out == b""
         assert err.startswith("p4hat extremal: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("search", "--n", "99", "--t", "9"),
+        ("witness", "--workers", "0"),
+    ])
+    def test_usage_error_removes_the_output_it_created(self, tmp_path, argv):
+        target = tmp_path / "out.json"
+        code, out, err = run_cli(*argv, "--output", str(target), stdin_text="Bw\n")
+        assert code == 64
+        assert out == b""
+        assert err.startswith(f"p4hat {argv[0]}: ") and err.count("\n") == 1
+        assert not target.exists()
+
 
 class TestCheckBounds:
     def test_passes(self):

@@ -101,6 +101,11 @@ class TestColex:
         assert colex_unrank(0, 0) == ()
         with pytest.raises(GuardError):
             colex_unrank(1, 0)
+        # a repeated or negative element names no subset
+        with pytest.raises(GuardError):
+            colex_rank([2, 2])
+        with pytest.raises(GuardError):
+            colex_rank((-1, 3))
 
 
 class TestPrunedScan:
@@ -132,13 +137,14 @@ class TestPrunedScan:
         # small subtrees that hold hits
         cands = candidate_triangles(8)
         cand_bits = _row_bits(cands)
+        seed = union_of_triangles(8, FIXED_TRIANGLES).adj
         checked = with_hits = 0
         for t in (7, 8, 9):
             k = t - 2
             covered = 0
             for top in range(k - 1, len(cands)):
                 lo, hi = comb(top, k), comb(top + 1, k)
-                examined, _, hits = _scan(8, cand_bits, k, top, first=False)
+                examined, _, hits = _scan(seed, cand_bits, k, top, first=False)
                 covered += examined
                 if hi - lo > comb(14, 6):
                     continue
@@ -148,7 +154,7 @@ class TestPrunedScan:
                     if is_p4hat_free(union):
                         ref.append((rank, union.adj))
                 assert (examined, hits) == (hi - lo, ref), (k, top)
-                examined, _, hits = _scan(8, cand_bits, k, top, first=True)
+                examined, _, hits = _scan(seed, cand_bits, k, top, first=True)
                 assert hits == ref[:1], (k, top)
                 assert examined == (ref[0][0] - lo + 1 if ref else hi - lo), (k, top)
                 checked += 1
