@@ -337,34 +337,49 @@ def _fail(args: argparse.Namespace, exc: Exception) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    created = None  # the output path, when this run creates the file
+    # a regular --output file is written to a temporary file beside it, moved
+    # onto the path once the command returns, so a usage error leaves the
+    # path untouched
+    staged = None
     with contextlib.ExitStack() as files:
         try:
-            # input first, so a missing input leaves no empty output file;
+            # input first, so a missing input leaves no stray temporary file;
             # stream commands read bytes, so any line can be reported as malformed
             if "input" in args:
                 args.input = (sys.stdin.buffer if args.input == "-"
                               else files.enter_context(open(args.input, "rb")))
             out: TextIO = sys.stdout
             if args.output != "-":
-                created = None if os.path.exists(args.output) else args.output
-                out = files.enter_context(open(args.output, "w", encoding="ascii"))
+                if os.path.exists(args.output) and not os.path.isfile(args.output):
+                    # a device or a pipe cannot be replaced: write it in place
+                    out = files.enter_context(open(args.output, "w", encoding="ascii"))
+                else:
+                    staged = f"{args.output}.{os.getpid()}.tmp"
+                    out = files.enter_context(open(staged, "x", encoding="ascii"))
         except OSError as exc:
             return _fail(args, exc)
         try:
             code = args.run(args, out)
             out.flush()  # a closed reader surfaces here, not at exit
+            if staged is not None:
+                out.close()
+                try:
+                    os.replace(staged, args.output)
+                except OSError as exc:
+                    return _fail(args, exc)
+                staged = None
             return code
         except (GuardError, GraphError) as exc:
-            if created is not None:  # a usage error leaves no empty output file
-                out.close()
-                os.remove(created)
             return _fail(args, exc)
         except BrokenPipeError:
             # the reader stopped early; what is still buffered goes to
             # devnull, so the flush at interpreter exit cannot raise again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             return EXIT_BROKEN_PIPE
+        finally:
+            if staged is not None:  # not moved into place: a usage error or a crash
+                out.close()
+                os.remove(staged)
 
 
 if __name__ == "__main__":

@@ -319,6 +319,30 @@ class TestUnopenablePaths:
         assert err.startswith(f"p4hat {argv[0]}: ") and err.count("\n") == 1
         assert not target.exists()
 
+    def test_usage_error_keeps_an_existing_output(self, tmp_path):
+        target = tmp_path / "pre.json"
+        target.write_bytes(b"hello world\n")
+        code, out, err = run_cli("search", "--n", "99", "--t", "9", "--output", str(target))
+        assert (code, out) == (64, b"")
+        assert err.startswith("p4hat search: ") and err.count("\n") == 1
+        assert target.read_bytes() == b"hello world\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["pre.json"]  # no temporary left
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_pipe_output_is_written_in_place(self, tmp_path):
+        # a path that is not a regular file cannot be replaced by a renamed one
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open
+        try:
+            proc = subprocess.run([sys.executable, "-m", "p4hat", "extremal", "--n", "4",
+                                   "--output", str(fifo)], capture_output=True, timeout=60)
+            assert proc.returncode == 0
+            assert json.loads(os.read(reader, 1 << 16))["ex_value"] == 4
+        finally:
+            os.close(reader)
+        assert fifo.is_fifo()
+
 
 class TestCheckBounds:
     def test_passes(self):

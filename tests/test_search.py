@@ -11,6 +11,7 @@ from p4hat import (
     book,
     candidate_triangles,
     canonical_form,
+    certify_upper_bound,
     colex_rank,
     colex_unrank,
     complete,
@@ -267,7 +268,9 @@ class TestCounterexampleSearch:
         counterexample_search(7, 9, workers=1)  # 15 subtrees, one worker: no pool
         counterexample_search(7, 9, workers=64)
         enumerate_extremal_configs(7, 8, workers=3)  # 16 subtrees
-        assert pool_sizes == [2, 15, 3]
+        extremal_value(8, workers=1)
+        extremal_value(8, workers=2)  # the t = 9 and t = 8 units share one pool
+        assert pool_sizes == [2, 15, 3, 2]
 
     def test_visited_unions_carry_at_least_t_triangles(self):
         rng = random.Random(83)
@@ -287,6 +290,71 @@ class TestCounterexampleSearch:
             counterexample_search(8, 2)
         with pytest.raises(GuardError):
             counterexample_search(8, 9, workers=0)
+
+
+class TestCertifyUpperBound:
+    """The K4-rooted scan by attachment class, against the pair route and
+    the oracle."""
+
+    def test_both_routes_exhaust(self):
+        for n, t in ((8, 9), (9, 11)):
+            assert counterexample_search(n, t, workers=2).outcome == "exhausted"
+            assert certify_upper_bound(n, t).outcome == "exhausted"
+
+    def test_small_n_agree_with_oracle(self):
+        for n in (5, 6, 7):
+            ex, _ = exhaustive_oracle(n)
+            report = certify_upper_bound(n, ex)
+            assert report.outcome == "counterexample", n
+            assert is_p4hat_free(report.counterexample)
+            assert count_triangles(report.counterexample) == ex
+            assert certify_upper_bound(n, ex + 1).outcome == "exhausted", n
+
+    def test_k4_alone_meets_small_targets(self):
+        # k = t - 4 <= 0: no subset to scan, the seed is the union
+        for n, t in ((4, 3), (4, 4), (5, 4)):
+            report = certify_upper_bound(n, t)
+            assert report.outcome == "counterexample"
+            assert report.counterexample == from_edges(n, complete(4).edges())
+            assert report.classes == ((),) and report.nodes_per_class == (0,)
+        assert certify_upper_bound(4, 5).outcome == "exhausted"
+
+    def test_nodes_per_class_sentinel(self):
+        # detector calls per maximal class; a change here means the classes,
+        # their candidates or the pruning changed
+        expected = {
+            (8, 9): (((4,), (2, 2)), (136, 16)),
+            (9, 11): (((5,), (3, 2)), (2273, 293)),
+            (10, 13): (((6,), (4, 2), (3, 3), (2, 2, 2)), (58485, 8518, 6379, 2941)),
+        }
+        for (n, t), (classes, nodes) in expected.items():
+            for workers in (1, 2, 8):
+                report = certify_upper_bound(n, t, workers=workers)
+                assert report == search.CertificateReport("exhausted", classes, nodes, None)
+        assert sum(expected[8, 9][1]) == 152 and sum(expected[9, 11][1]) == 2566
+        assert sum(expected[10, 13][1]) == 76_323
+
+    def test_candidates_have_at_most_one_vertex_in_s(self):
+        for n in range(4, 11):
+            for parts in search._attachment_classes(n):
+                assert sum(parts) in (n - 4, 0) and all(p >= 2 for p in parts)
+                cands = search._k4_candidates(n, parts)
+                outer = [tri for tri in cands if tri[0] >= 4]
+                assert len(outer) == comb(n - 4, 3)
+                assert len(cands) - len(outer) == sum(comb(p, 2) for p in parts)
+                assert all(tri[1] >= 4 for tri in cands)
+
+    def test_guards(self):
+        # at or below floor(n^2/8) the route would miss K4-free graphs
+        for n, t in ((8, 8), (6, 4), (9, 10)):
+            with pytest.raises(GuardError):
+                certify_upper_bound(n, t)
+        with pytest.raises(GuardError):
+            certify_upper_bound(3, 5)
+        with pytest.raises(GuardError):
+            certify_upper_bound(11, 16)
+        with pytest.raises(GuardError):
+            certify_upper_bound(8, 9, workers=0)
 
 
 class TestOracle:
@@ -329,6 +397,14 @@ class TestExtremal:
         assert value == 8
         assert [canonical_form(g).decode() for g in configs] == [
             "G?~vno", "G@LAJ{", "GJ]CKK"
+        ]
+
+    def test_n8_configs_match_pair_route(self):
+        # the K4 route plus the Mantel-forced K4-free configuration against
+        # the pair route's collect scan
+        _, configs = extremal_value(8)
+        assert [canonical_form(g) for g in configs] == [
+            canonical_form(g) for g in enumerate_extremal_configs(8, 8)
         ]
 
     def test_extremal_value_small(self):
