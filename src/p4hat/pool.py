@@ -1,24 +1,31 @@
-"""One ordered map over a process pool, shared by the searches and the streams.
+"""One ordered map over forked worker processes, shared by the searches and
+the streams.
 
 ``ordered_map(fn, items, workers)`` gives ``fn(item)`` for every item, in
-item order, so a caller's output never depends on the worker count.  The
-pool is forked on first use: importing this module loads no
-``multiprocessing``, and a map that one process can do forks nothing.
+item order, so a caller's output never depends on the worker count.  A map
+that one process can do runs here and forks nothing.  Otherwise the parent
+forks its workers with ``os.fork``; the program starts no threads, so a
+fork copies a consistent interpreter.  A worker inherits ``fn`` through the
+fork, so only items and results cross its two pipes, as length-prefixed
+pickles.  The parent sends an item only to an idle worker, so neither side
+ever blocks on a full pipe while the other waits for it.  Importing this
+module loads neither ``pickle`` nor ``select``: the first fork imports them.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import os
 from contextlib import contextmanager
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .graphs import GuardError
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-IN_FLIGHT_PER_PROCESS = 2  # items submitted but not yet read, per pool process
+IN_FLIGHT_PER_PROCESS = 2  # items sent but not yet yielded, per worker process
+_HEADER = 8  # bytes of the little-endian length before each pickle
 
 
 @contextmanager
@@ -28,10 +35,12 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Itera
     The first ``workers`` items are read to size the pool: it gets
     min(workers, items read) processes, and with one process the map runs
     here, lazily, with the builtin ``map``.  A pool holds at most
-    ``IN_FLIGHT_PER_PROCESS`` items per process submitted but not yet read,
-    so an endless ``items`` is never read into memory.  Leaving the context
-    early cancels the items not yet started; running ones are left to finish.
-    ``fn`` and every item and result must pickle.
+    ``IN_FLIGHT_PER_PROCESS`` items per process sent but not yet yielded,
+    so an endless ``items`` is never read into memory.  An exception raised
+    by ``fn`` is raised here at its item's turn, caused by the worker's
+    traceback text.  Leaving the context early sends no further item; items
+    running finish, and the parent waits for every worker to exit.  Every
+    item and result must pickle.
     """
     if workers < 1:
         raise GuardError(f"worker count must be >= 1, got {workers}")
@@ -41,24 +50,172 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Itera
     if processes <= 1:
         yield map(fn, chain(ahead, items))
         return
-    # imported on first use, to keep their imports out of every CLI start-up
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-
-    pool = ProcessPoolExecutor(processes, mp_context=get_context("fork"))
+    pool = _Workers(fn, processes)
     try:
-        yield _read_in_order(pool, fn, chain(ahead, items), IN_FLIGHT_PER_PROCESS * processes)
+        yield pool.in_order(chain(ahead, items), IN_FLIGHT_PER_PROCESS * processes)
     finally:
-        # Pool.terminate can deadlock on a worker killed mid-send, so running
-        # items are left to finish rather than killed
-        pool.shutdown(cancel_futures=True)
+        pool.close()
 
 
-def _read_in_order(pool, fn, items, window):
-    pending = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) == window:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+class WorkerTraceback(Exception):
+    """The traceback text of an exception raised in a worker process."""
+
+
+_END = object()
+
+
+class _Workers:
+    """``processes`` forked children, each applying ``fn`` to the items the
+    parent sends it, one at a time."""
+
+    def __init__(self, fn: Callable[[Any], Any], processes: int) -> None:
+        import pickle  # noqa: F401  imported before the forks, so every worker inherits it
+
+        self._children: list[tuple[int, int, int]] = []  # (pid, task fd, result fd)
+        try:
+            for _ in range(processes):
+                self._fork(fn)
+        except BaseException:
+            self.close()
+            raise
+
+    def _fork(self, fn: Callable[[Any], Any]) -> None:
+        task_r, task_w = os.pipe()
+        result_r, result_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (task_r, task_w, result_r, result_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                # a sibling's pipe end held open here would hide its end of file
+                for _, other_task, other_result in self._children:
+                    os.close(other_task)
+                    os.close(other_result)
+                os.close(task_w)
+                os.close(result_r)
+                _serve(fn, task_r, result_w)
+                code = 0
+            except Exception:
+                import traceback
+
+                traceback.print_exc()
+            finally:
+                # no atexit handler and no flush of buffers copied from the parent
+                os._exit(code)
+        os.close(task_r)
+        os.close(result_w)
+        self._children.append((pid, task_w, result_r))
+
+    def in_order(self, items: Iterator[Any], window: int) -> Iterator[Any]:
+        """``fn(item)`` for each item, in order, with at most ``window`` items
+        sent but not yet yielded."""
+        import select
+
+        poll = select.poll()
+        idle = list(self._children)
+        holding = {}  # result fd -> (child, index of the item it holds)
+        done = {}  # index -> (result or exception, traceback text or None)
+        sent = yielded = 0
+        item = None
+        while True:
+            while idle and item is not _END and sent - yielded < window:
+                item = next(items, _END)
+                if item is not _END:
+                    child = idle.pop()
+                    _, task_w, result_r = child
+                    try:
+                        _send(task_w, item)
+                    except BrokenPipeError:
+                        raise RuntimeError(self._obituary(child, sent)) from None
+                    holding[result_r] = child, sent
+                    poll.register(result_r, select.POLLIN)
+                    sent += 1
+            if yielded in done:
+                value, text = done.pop(yielded)
+                yielded += 1
+                if text is not None:
+                    raise value from WorkerTraceback(text)
+                yield value
+            elif not holding:
+                return
+            else:
+                for fd, _ in poll.poll():
+                    child, index = holding.pop(fd)
+                    poll.unregister(fd)
+                    try:
+                        done[index] = _receive(fd)
+                    except EOFError:
+                        raise RuntimeError(self._obituary(child, index)) from None
+                    idle.append(child)
+
+    def _obituary(self, child: tuple[int, int, int], index: int) -> str:
+        """Reap the dead worker ``child`` and say which item it did not return."""
+        pid, task_w, result_r = child
+        _, status = os.waitpid(pid, 0)
+        os.close(task_w)
+        os.close(result_r)
+        self._children.remove(child)
+        return (f"pool worker {pid} exited with code {os.waitstatus_to_exitcode(status)} "
+                f"before returning item {index}")
+
+    def close(self) -> None:
+        """Close every pipe, then wait for every worker to exit: an idle one
+        reads end of file, and a busy one finishes its item and fails to send it."""
+        for _, task_w, result_r in self._children:
+            os.close(task_w)
+            os.close(result_r)
+        for pid, _, _ in self._children:
+            os.waitpid(pid, 0)
+        self._children = []
+
+
+def _serve(fn: Callable[[Any], Any], task_r: int, result_w: int) -> None:
+    """A worker's loop: apply ``fn`` to each item read from ``task_r`` and
+    send back the result, or the exception with its traceback text, until
+    the parent closes either pipe."""
+    while True:
+        try:
+            item = _receive(task_r)
+        except EOFError:
+            return
+        try:
+            message = fn(item), None
+        except Exception as exc:  # raised again in the parent, at this item's turn
+            import traceback
+
+            message = exc, traceback.format_exc()
+        try:
+            _send(result_w, message)
+        except BrokenPipeError:  # the parent left the map while this item ran
+            return
+
+
+def _send(fd: int, obj: Any) -> None:
+    import pickle
+
+    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(_HEADER, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd: int) -> Any:
+    """The next message on ``fd``; ``EOFError`` if the writer closed it first."""
+    import pickle
+
+    return pickle.loads(_read(fd, int.from_bytes(_read(fd, _HEADER), "little")))
+
+
+def _read(fd: int, size: int) -> bytes:
+    parts = []
+    while size:
+        part = os.read(fd, size)
+        if not part:
+            raise EOFError
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)

@@ -230,9 +230,9 @@ def _scan_subtrees(first, n, cands, k, workers, progress=None):
 
     The subtrees go through ``ordered_map``, so one process scans them all
     when one suffices, and a pool never has more processes than subtrees.
-    In "first" mode the read ends at the first subtree with a hit and the
-    subtrees not yet started are cancelled, so the results never depend on
-    the worker count.  ``progress(i, examined)`` is called as the result of
+    In "first" mode the read ends at the first subtree with a hit and no
+    further subtree is sent to a worker, so the results never depend on the
+    worker count.  ``progress(i, examined)`` is called as the result of
     subtree i is read.  Every subtree starts from the fixed pair's rows.
     """
     seed = union_of_triangles(n, FIXED_TRIANGLES).adj

@@ -5,12 +5,11 @@ from __future__ import annotations
 import random
 import subprocess
 import sys
-from concurrent import futures
 from itertools import combinations, permutations
 
 import pytest
 
-from p4hat import Graph, encode_graph6, from_edges
+from p4hat import Graph, encode_graph6, from_edges, pool
 from p4hat.patterns import _rows_contain_suspension
 
 
@@ -78,22 +77,21 @@ def run_cli(*args: str, stdin_text: str | None = None) -> tuple[int, bytes, str]
 
 @pytest.fixture
 def pool_sizes(monkeypatch) -> list[int]:
-    """Replace ``ProcessPoolExecutor`` with a stand-in that starts no process:
-    it runs each submitted call at once, here, and records the process count
+    """Replace the pool's forked workers with a stand-in that starts no
+    process: it maps each item here, in order, and records the process count
     every pool asks for in the returned list."""
     requested: list[int] = []
 
-    class RecordingPool:
-        def __init__(self, processes, mp_context):
+    class InProcessWorkers:
+        def __init__(self, fn, processes):
             requested.append(processes)
+            self.fn = fn
 
-        def submit(self, fn, *args):
-            future = futures.Future()
-            future.set_result(fn(*args))
-            return future
+        def in_order(self, items, window):
+            return map(self.fn, items)
 
-        def shutdown(self, cancel_futures):
+        def close(self):
             pass
 
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(pool, "_Workers", InProcessWorkers)
     return requested

@@ -409,8 +409,9 @@ class TestCheckBounds:
 class TestStartup:
     def test_cli_import_loads_no_numpy_or_multiprocessing(self):
         # every command pays for what importing the CLI loads; the pool's
-        # modules are imported only when a search forks one
-        code = "import p4hat.cli, sys; print(sorted({'numpy', 'multiprocessing'} & set(sys.modules)))"
+        # modules are imported only when a map forks its workers
+        code = ("import p4hat.cli, sys; print(sorted({'numpy', 'multiprocessing', "
+                "'concurrent.futures', 'pickle'} & set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

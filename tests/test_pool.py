@@ -1,7 +1,12 @@
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 
 from p4hat import GuardError
-from p4hat.pool import IN_FLIGHT_PER_PROCESS, ordered_map
+from p4hat.pool import IN_FLIGHT_PER_PROCESS, WorkerTraceback, ordered_map
 
 
 class TestOrderedMap:
@@ -33,3 +38,79 @@ class TestOrderedMap:
             with pytest.raises(GuardError):
                 with ordered_map(str, range(3), workers):
                     pass
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+
+
+class TestForkedWorkers:
+    def test_fn_exception_reaches_the_caller(self):
+        def guarded(i):
+            if i == 7:
+                raise GuardError(f"item {i} is out of range")
+            return i
+
+        with ordered_map(guarded, range(20), 2) as results:
+            assert [next(results) for _ in range(7)] == list(range(7))
+            with pytest.raises(GuardError, match="^item 7 is out of range$") as info:
+                next(results)
+        assert isinstance(info.value.__cause__, WorkerTraceback)
+        assert "in guarded" in str(info.value.__cause__)
+
+    def test_dead_worker_raises_a_named_error(self):
+        proc = run_python(
+            "import os\n"
+            "from p4hat.pool import ordered_map\n"
+            "def dies_at_5(i):\n"
+            "    if i == 5:\n"
+            "        os._exit(3)\n"
+            "    return i\n"
+            "with ordered_map(dies_at_5, range(20), 2) as results:\n"
+            "    print(list(results))\n"
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        last = proc.stderr.decode().splitlines()[-1]
+        assert re.fullmatch(r"RuntimeError: pool worker \d+ exited with code 3 "
+                            r"before returning item 5", last), last
+
+    @pytest.mark.parametrize("read", [1, 40])
+    def test_leaving_early_reaps_every_worker(self, monkeypatch, read):
+        forked = []
+        fork = os.fork
+
+        def recorded_fork():
+            pid = fork()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        pulled = 0
+
+        def counted():
+            nonlocal pulled
+            for i in range(1000):
+                pulled += 1
+                yield i
+
+        with ordered_map(str, counted(), 3) as results:
+            for i, result in zip(range(read), results):
+                assert result == str(i)
+                assert pulled <= i + 1 + IN_FLIGHT_PER_PROCESS * 3
+        assert len(forked) == 3
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_unflushed_parent_stdout_is_written_once(self):
+        proc = run_python(
+            "import sys\n"
+            "from p4hat.pool import ordered_map\n"
+            "sys.stdout.write('x')\n"
+            "with ordered_map(abs, range(10), 2) as results:\n"
+            "    assert list(results) == list(range(10))\n"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == b"x"
