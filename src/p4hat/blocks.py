@@ -26,7 +26,7 @@ p4hat-free graph at floor(n^2/8).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import (
     Edge,
@@ -43,8 +43,7 @@ from .graphs import (
 from .patterns import SuspensionWitness, contains_suspension_p4
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(NamedTuple):
     """One triangle block: its edge set, classification, and counts."""
 
     kind: str  # "K4" | "Book" | "Other"
@@ -55,8 +54,7 @@ class Block:
     base: Edge | None  # Book base; for s=1 the deterministic deletion choice
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     blocks: tuple[Block, ...]
     stray_edges: tuple[Edge, ...]  # edges lying in no triangle
 
@@ -187,8 +185,7 @@ def base_edge_reduction(g: Graph) -> Graph:
     return from_edges(g.n, keep)
 
 
-@dataclass(frozen=True)
-class K4FreeBoundReport:
+class K4FreeBoundReport(NamedTuple):
     n: int
     triangles: int
     reduced_edges: int

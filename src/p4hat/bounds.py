@@ -15,14 +15,13 @@ field of the K4 report is read off the X_i by the argument that proves it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
+from typing import NamedTuple
 
 from .graphs import Graph, GuardError, _bits, enumerate_triangles
 
 
-@dataclass(frozen=True)
-class K4NeighborhoodReport:
+class K4NeighborhoodReport(NamedTuple):
     """Structure of the punctured neighborhoods around a K4 on S."""
 
     s_vertices: tuple[int, int, int, int]
@@ -131,8 +130,7 @@ def _check_audit_range(audit: str, n_min: int, n_max: int) -> None:
         raise GuardError(f"{audit} needs n_max <= {AUDIT_N_MAX}, got {n_max}")
 
 
-@dataclass(frozen=True)
-class FloorIdentityReport:
+class FloorIdentityReport(NamedTuple):
     n_min: int
     n_max: int
     ok: bool
@@ -158,8 +156,7 @@ def floor_identity_audit(n_max: int) -> FloorIdentityReport:
     return FloorIdentityReport(12, n_max, True, None)
 
 
-@dataclass(frozen=True)
-class CaseThresholdReport:
+class CaseThresholdReport(NamedTuple):
     n_max: int
     # 3*(floor(n^2/8) + 1) > (3n^2 + 26n - 61)/12 for n >= 17, n = 2 (mod 3)
     case1_ok: bool

@@ -3,10 +3,22 @@
 The canonical form of a graph is the minimum graph6 encoding over all
 vertex orderings compatible with an iteratively refined degree partition.
 Restricting to partition-respecting orderings is sound because the
-partition is an isomorphism invariant, and it prunes the permutation
-search enough for the sizes this package needs (deduplicating extremal
-configurations on at most 12 vertices).  Beyond that a guard trips rather
-than letting the search degrade.
+partition is an isomorphism invariant.
+
+Twins are placed once per depth.  Vertices v and w are twins when they
+agree on every other vertex: adj[v] minus w equals adj[w] minus v.  The
+relation depends on the graph alone, so it is computed once, as a bitmask
+of twins per vertex.  Let w be a candidate already tried at depth k, and
+v a later candidate that is its twin.  Neither is placed before depth k,
+so swapping them is an automorphism that fixes every vertex placed there.
+It preserves the refined partition, and it maps each placement that puts
+v at depth k onto one that puts w there, with the same adjacency columns.
+So v's subtree streams exactly what w's did, and skipping it leaves the
+minimum, and so the form, unchanged.  This collapses the searches of
+cliques, empty graphs, books and complete bipartite graphs, whose
+symmetry is all twin swaps, and keeps every graph this package needs
+(extremal configurations on at most 12 vertices) fast.  Beyond 12
+vertices a guard trips rather than letting the search degrade.
 """
 
 from __future__ import annotations
@@ -50,6 +62,10 @@ def canonical_form(g: Graph) -> bytes:
     for cls in _refined_classes(g):
         class_at.extend([cls] * len(cls))
 
+    twins = [
+        sum(1 << w for w in range(n) if w != v and adj[v] & ~(1 << w) == adj[w] & ~(1 << v))
+        for v in range(n)
+    ]
     inf = 1 << n
     best = [inf] * n
     placed = [0] * n
@@ -70,9 +86,13 @@ def canonical_form(g: Graph) -> bytes:
                 col = col << 1 | (av >> placed[i] & 1)
             cands.append((col, v))
         cands.sort()
+        tried = 0
         for col, v in cands:
             if col > best[k]:
                 break
+            if twins[v] & tried:
+                continue
+            tried |= 1 << v
             if col < best[k]:
                 best[k] = col
                 for j in range(k + 1, n):

@@ -24,8 +24,6 @@ import time
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
-from .blocks import decompose
-from .bounds import case_threshold_audit, floor_identity_audit
 from .constructions import FAMILIES
 from .graphs import (
     Graph,
@@ -36,14 +34,7 @@ from .graphs import (
     decode_graph6,
     encode_graph6,
 )
-from .patterns import contains_suspension_p4
 from .pool import ordered_map
-from .search import (
-    EXHAUSTIVE_MAX_VERTICES,
-    candidate_triangles,
-    counterexample_search,
-    extremal_value,
-)
 
 SCHEMA_VERSION = 1
 
@@ -87,6 +78,8 @@ def _emit_line(doc: dict[str, Any], fmt: str, out: TextIO) -> None:
 
 
 def _search(args: argparse.Namespace) -> Fields:
+    from .search import candidate_triangles, counterexample_search
+
     def progress(chunk: int, examined: int) -> None:
         print(f"chunk {chunk}: {examined} subsets", file=sys.stderr)
 
@@ -119,6 +112,8 @@ def _g6(g: Graph) -> str:
 
 
 def _extremal(args: argparse.Namespace) -> Fields:
+    from .search import EXHAUSTIVE_MAX_VERTICES, extremal_value
+
     started = time.perf_counter()
     value, configs = extremal_value(args.n, workers=args.workers)
     print(f"extremal n={args.n}: {time.perf_counter() - started:.2f}s", file=sys.stderr)
@@ -133,6 +128,9 @@ def _extremal(args: argparse.Namespace) -> Fields:
 
 
 def _verify_construction(args: argparse.Namespace) -> Fields:
+    from .blocks import decompose
+    from .patterns import contains_suspension_p4
+
     family = FAMILIES[args.family]
     n = args.n
     if n is None:
@@ -173,7 +171,7 @@ STREAM_CHUNK = 500  # non-blank input lines per unit of work
 
 
 def _cmd_stream(
-    describe: Callable[[Graph], Fields],
+    describer: Callable[[], Callable[[Graph], Fields]],
     args: argparse.Namespace,
     out: TextIO,
 ) -> int:
@@ -181,10 +179,12 @@ def _cmd_stream(
     ``args.input``: ``describe(graph)``'s fields, or the decode error.
     ``describe`` also says whether the graph counts as found.
 
-    The lines go in chunks of ``STREAM_CHUNK`` through ``ordered_map``, and
-    each chunk's output is written whole, in input order."""
+    ``describer()`` returns ``describe`` and imports what it needs, here,
+    before the workers fork, so that no worker imports a module.  The lines
+    go in chunks of ``STREAM_CHUNK`` through ``ordered_map``, and each
+    chunk's output is written whole, in input order."""
     errors = found = 0
-    describe_chunk = partial(_stream_chunk, describe, args.format)
+    describe_chunk = partial(_stream_chunk, describer(), args.format)
     with ordered_map(describe_chunk, _chunks(args.input), args.workers) as described:
         for text, messages, chunk_errors, chunk_found in described:
             sys.stderr.write(messages)
@@ -233,28 +233,41 @@ def _stream_chunk(
     return out.getvalue(), err.getvalue(), errors, found
 
 
-def _block_fields(graph: Graph) -> Fields:
-    dec = decompose(graph)
-    blocks = [
-        {
-            "kind": b.kind,
-            "pages": b.pages,
-            "vertices": list(b.vertices),
-            "edges": [list(e) for e in b.edges],
-        }
-        for b in dec.blocks
-    ]
-    return {"n": graph.n, "blocks": blocks, "stray_edges": [list(e) for e in dec.stray_edges]}, False
+def _block_fields() -> Callable[[Graph], Fields]:
+    from .blocks import decompose
+
+    def fields(graph: Graph) -> Fields:
+        dec = decompose(graph)
+        blocks = [
+            {
+                "kind": b.kind,
+                "pages": b.pages,
+                "vertices": list(b.vertices),
+                "edges": [list(e) for e in b.edges],
+            }
+            for b in dec.blocks
+        ]
+        return {"n": graph.n, "blocks": blocks,
+                "stray_edges": [list(e) for e in dec.stray_edges]}, False
+
+    return fields
 
 
-def _witness_fields(graph: Graph) -> Fields:
-    witness = contains_suspension_p4(graph)
-    if witness is None:
-        return {"status": "p4hat-free"}, False
-    return {"status": "witness", "apex": witness.apex, "path": list(witness.path)}, True
+def _witness_fields() -> Callable[[Graph], Fields]:
+    from .patterns import contains_suspension_p4
+
+    def fields(graph: Graph) -> Fields:
+        witness = contains_suspension_p4(graph)
+        if witness is None:
+            return {"status": "p4hat-free"}, False
+        return {"status": "witness", "apex": witness.apex, "path": list(witness.path)}, True
+
+    return fields
 
 
 def _check_bounds(args: argparse.Namespace) -> Fields:
+    from .bounds import case_threshold_audit, floor_identity_audit
+
     floors = floor_identity_audit(args.n_max)
     cases = case_threshold_audit(max(args.n_max, 17))
     doc = {
@@ -300,9 +313,10 @@ def build_parser() -> _Parser:
     stream = argparse.ArgumentParser(add_help=False)
     stream.add_argument("--input", default="-", help="input path, '-' for stdin")
 
-    def command(name: str, summary: str, fields: Callable[..., Fields],
+    def command(name: str, summary: str, fields: Callable[..., Any],
                 *shared: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        # a stream command describes each input graph; the rest write one document
+        # a stream command describes each input graph; the rest write one
+        # document.  Each imports the modules it runs when it runs.
         p = sub.add_parser(name, help=summary, parents=[*shared, output])
         p.set_defaults(run=partial(_cmd_stream if stream in shared else _cmd_document, fields))
         return p

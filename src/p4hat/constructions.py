@@ -7,10 +7,9 @@ whether it is p4hat-free, so constructions can be verified mechanically
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .graphs import Edge, Graph, GraphError, from_edges
 
@@ -92,8 +91,7 @@ def complete(k: int) -> Graph:
     return from_edges(k, ((u, v) for v in range(k) for u in range(v)))
 
 
-@dataclass(frozen=True)
-class ConstructionFamily:
+class ConstructionFamily(NamedTuple):
     """A generator with its certified triangle count and freeness claim.
 
     ``build`` raises GraphError on a parameter outside its range.

@@ -14,15 +14,13 @@ and is the one detector the search runs at every node of its walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, _bits
 
 
-@dataclass(frozen=True)
-class SuspensionWitness:
+class SuspensionWitness(NamedTuple):
     """An apex plus an ordered 4-path inside its neighborhood."""
 
     apex: int

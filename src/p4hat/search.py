@@ -90,7 +90,6 @@ oracle over all labeled graphs covers n <= 7.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
 from math import comb
@@ -315,8 +314,7 @@ def _scan_k4(n, targets, workers):
 
 # -- public search operations ---------------------------------------------------
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     """Outcome of a counterexample search.
 
     ``graphs_examined`` counts the colex ranks covered, pruned subtrees
@@ -376,7 +374,7 @@ def counterexample_search(
     return SearchReport("exhausted", examined, nodes, 0, None, None, t > n * n // 8)
 
 
-class CertificateReport(NamedTuple):  # not a dataclass: cheaper to define at import
+class CertificateReport(NamedTuple):
     """Outcome of the K4-rooted scan for (n, t).
 
     ``classes`` lists the maximal attachment classes scanned, each as the

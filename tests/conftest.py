@@ -10,6 +10,7 @@ from itertools import combinations, permutations
 import pytest
 
 from p4hat import Graph, encode_graph6, from_edges, pool
+from p4hat.canon import _refined_classes
 from p4hat.patterns import _rows_contain_suspension
 
 
@@ -36,6 +37,52 @@ def brute_min_form(g: Graph) -> bytes:
             best = enc
     assert best is not None
     return best
+
+
+def reference_canonical_form(g: Graph) -> bytes:
+    """``canonical_form``'s search without its twin rule: every candidate of
+    a depth's best column is placed.  Oracle for the twin rule on graphs
+    small or asymmetric enough for it to finish."""
+    n, adj = g.n, g.adj
+    class_at: list[list[int]] = []
+    for cls in _refined_classes(g):
+        class_at.extend([cls] * len(cls))
+
+    inf = 1 << n
+    best = [inf] * n
+    placed = [0] * n
+    used = [False] * n
+    best_perm: list[int] = []
+
+    def dfs(k: int) -> None:
+        if k == n:
+            best_perm[:] = placed
+            return
+        cands = []
+        for v in class_at[k]:
+            if used[v]:
+                continue
+            col = 0
+            for i in range(k):
+                col = col << 1 | (adj[v] >> placed[i] & 1)
+            cands.append((col, v))
+        cands.sort()
+        for col, v in cands:
+            if col > best[k]:
+                break
+            if col < best[k]:
+                best[k] = col
+                for j in range(k + 1, n):
+                    best[j] = inf
+            placed[k] = v
+            used[v] = True
+            dfs(k + 1)
+            used[v] = False
+
+    dfs(0)
+    return encode_graph6(from_edges(n, [
+        (i, j) for i in range(n) for j in range(i + 1, n) if adj[best_perm[i]] >> best_perm[j] & 1
+    ]))
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -1,18 +1,22 @@
 import random
+import signal
 from itertools import combinations
 
 import pytest
 
 from p4hat import (
+    Graph,
     GuardError,
     are_isomorphic,
+    bipartite_matching,
     book,
     canonical_form,
     complete,
+    encode_graph6,
     from_edges,
     small_extremal,
 )
-from conftest import brute_min_form, permuted, random_graph
+from conftest import brute_min_form, permuted, random_graph, reference_canonical_form
 
 
 def test_c5_relabelings_share_form():
@@ -97,3 +101,64 @@ def test_near_regular_worst_case_still_fast():
     form = canonical_form(g)
     for _ in range(5):
         assert canonical_form(permuted(g, rng.sample(range(12), 12))) == form
+
+
+def disjoint_cycles(copies: int, length: int) -> Graph:
+    """``copies`` disjoint cycles on ``length`` vertices; length 2 gives edges."""
+    return from_edges(copies * length, {
+        tuple(sorted((c * length + i, c * length + (i + 1) % length)))
+        for c in range(copies) for i in range(length)
+    })
+
+
+def test_symmetric_graphs_inside_the_guard_stay_fast():
+    # without the twin rule K11 takes minutes and K12 about half an hour, so
+    # a timer stops the test rather than letting it hang
+    graphs = [complete(12), from_edges(12, []), book(10), bipartite_matching(12),
+              disjoint_cycles(6, 2), disjoint_cycles(3, 4), disjoint_cycles(2, 6),
+              disjoint_cycles(1, 12)]
+    rng = random.Random(66)
+
+    def too_slow(signum, frame):
+        raise AssertionError("canonical_form took over 5 s on the symmetric graphs")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        for g in graphs:
+            form = canonical_form(g)
+            for _ in range(3):
+                assert canonical_form(permuted(g, rng.sample(range(g.n), g.n))) == form
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def blow_up(rng: random.Random, n: int) -> Graph:
+    """A random graph on at most n vertices in which each vertex of a small
+    random base graph becomes a clique or an independent set of twins."""
+    base = random_graph(rng, rng.randint(1, 4), rng.choice((0.3, 0.6)))
+    parts, clique, size = [], [], 0
+    for _ in range(base.n):
+        k = rng.randint(1, max(1, (n - size) // 2))
+        parts.append(range(size, size + k))
+        clique.append(rng.random() < 0.5)
+        size += k
+    edges = [(u, v) for i, p in enumerate(parts) for u in p for v in p if u < v and clique[i]]
+    edges += [(u, v) for i, j in base.edges() for u in parts[i] for v in parts[j]]
+    g = from_edges(size, edges)
+    return permuted(g, rng.sample(range(size), size))
+
+
+def test_twin_rule_keeps_the_form_exact():
+    rng = random.Random(67)
+    graphs = [random_graph(rng, rng.randint(1, 9), rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(2000)]
+    graphs += [blow_up(rng, 8) for _ in range(1000)]
+    graphs += [complete(k) for k in range(1, 9)] + [from_edges(n, []) for n in range(1, 9)]
+    graphs += [book(s) for s in range(1, 8)] + [bipartite_matching(n) for n in range(4, 11)]
+    graphs += [disjoint_cycles(c, m) for c, m in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3),
+                                                  (2, 4), (3, 4), (2, 5), (2, 6))]
+    graphs += [disjoint_cycles(1, m) for m in range(3, 13)] + [small_extremal(n) for n in range(4, 8)]
+    for g in graphs:
+        assert canonical_form(g) == reference_canonical_form(g), encode_graph6(g)

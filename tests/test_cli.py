@@ -416,6 +416,65 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @staticmethod
+    def loaded_modules(*args: str) -> set[str]:
+        """Every module that ``python -X importtime *args`` imports, in the
+        parent or in a forked worker."""
+        proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line} - {"package"}
+
+    def test_package_import_loads_no_submodule(self):
+        loaded = self.loaded_modules("-c", "import p4hat")
+        assert "p4hat" in loaded
+        assert {m for m in loaded if m.startswith("p4hat.")} == set()
+
+    def test_help_loads_no_command_module(self):
+        loaded = self.loaded_modules("-m", "p4hat", "--help")
+        assert "p4hat.cli" in loaded
+        assert loaded.isdisjoint({"dataclasses", "inspect", "p4hat.search", "p4hat.blocks",
+                                  "p4hat.bounds", "p4hat.canon", "p4hat.patterns"})
+
+    def test_extremal_loads_no_blocks_or_bounds(self):
+        loaded = self.loaded_modules("-m", "p4hat", "extremal", "--n", "8", "--workers", "2")
+        assert "p4hat.search" in loaded
+        assert loaded.isdisjoint({"p4hat.blocks", "p4hat.bounds", "dataclasses"})
+
+    @pytest.mark.parametrize("command, module", [("witness", "p4hat.patterns"),
+                                                 ("blocks", "p4hat.blocks")])
+    def test_stream_imports_before_the_pool_forks(self, tmp_path, command, module):
+        source = tmp_path / "in.g6"
+        source.write_text(g6(book(3)) + "\n")
+        code = (
+            "import sys, p4hat.cli as cli\n"
+            "real = cli.ordered_map\n"
+            "def spy(fn, items, workers):\n"
+            "    print(sorted(m for m in sys.modules if m.startswith('p4hat.')), file=sys.stderr)\n"
+            "    return real(fn, items, workers)\n"
+            "cli.ordered_map = spy\n"
+            f"sys.exit(cli.main([{command!r}, '--input', {str(source)!r}, '--workers', '2']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert module in proc.stderr.splitlines()[0]
+
+    def test_every_export_resolves(self):
+        import importlib
+
+        import p4hat
+
+        assert len(p4hat.__all__) == 60
+        for name in p4hat.__all__:
+            module = importlib.import_module(f"p4hat.{p4hat._MODULE_OF[name]}")
+            assert getattr(p4hat, name) is getattr(module, name)
+        namespace: dict = {}
+        exec("from p4hat import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == p4hat.__all__
+        with pytest.raises(AttributeError, match="no_such_name"):
+            p4hat.no_such_name
+
 
 class TestDeterminism:
     def test_repeated_runs_identical(self):
