@@ -112,7 +112,7 @@ def disjoint_cycles(copies: int, length: int) -> Graph:
 
 
 def test_symmetric_graphs_inside_the_guard_stay_fast():
-    # without the twin rule K11 takes minutes and K12 about half an hour, so
+    # without the twin rule K11 takes about 3 minutes and K12 far longer, so
     # a timer stops the test rather than letting it hang
     graphs = [complete(12), from_edges(12, []), book(10), bipartite_matching(12),
               disjoint_cycles(6, 2), disjoint_cycles(3, 4), disjoint_cycles(2, 6),
