@@ -12,12 +12,13 @@ prunes the candidate triangles that force the pattern next to them.
 The K4 route, which `extremal_value(8)` uses, seeds the scan with a K4 on
 0123 instead: a pattern-free graph with more than floor(n^2/8) triangles
 contains one.  The sets X_i of outside neighbours of its vertices are
-disjoint, so every other triangle joins u_i to two vertices of X_i or
-avoids the K4, and only the sizes of the X_i matter.  Exhausting the t = 9
-scan over the two maximal classes certifies ex(8) <= 8; the
-bipartite+matching construction realizes 8.  The same scan at t = 8 gives
-the configurations that contain a K4, and Mantel's equality case forces
-the one that does not: K_{4,4} plus a perfect matching of one side.
+disjoint, and each G[X_i] is a graph of triangles and stars, so every
+triangle through the K4 is fixed in one of a few seeds, and the scan adds
+only triangles that avoid the K4.  Exhausting the t = 9 scan over the seven
+seeds certifies ex(8) <= 8; the bipartite+matching construction realizes 8.
+The same scan at t = 8 gives the configurations that contain a K4, and
+Mantel's equality case forces the one that does not: K_{4,4} plus a perfect
+matching of one side.
 """
 
 import time
@@ -63,8 +64,8 @@ print()
 print("== the K4 route ==")
 for n, t in ((7, 8), (8, 9), (9, 11)):
     report = certify_upper_bound(n, t)
-    print(f"(n={n}, t={t}): {report.outcome}; classes {report.classes}, "
-          f"nodes visited {report.nodes_per_class}")
+    print(f"(n={n}, t={t}): {report.outcome}; {len(report.seeds)} seeds, "
+          f"nodes visited {report.nodes_per_seed}")
 
 print()
 print("== the full n = 8 computation ==")

@@ -10,7 +10,8 @@ every subset certifies that none exists.
 The K4 route
 ------------
 ``certify_upper_bound`` and ``extremal_value`` at n = 8 seed the scan with
-the K4 on S = {0, 1, 2, 3}.  Three facts make that sound.
+a K4 on S = {0, 1, 2, 3} and every triangle through it.  Two facts and four
+steps make that sound.
 
 (a) A p4hat-free graph G with t(G) > floor(n^2/8) contains a K4.  First,
     every triangle block of a p4hat-free graph is a K4 or a book.  A block
@@ -31,21 +32,30 @@ the K4 on S = {0, 1, 2, 3}.  Three facts make that sound.
     X_j gives apex u_i the path x-u_j-u_k-u_l, so the X_i are pairwise
     disjoint.  Hence every triangle other than the K4's four has at most one
     vertex in S, and if it has u_i its other two vertices lie in X_i.
-(c) Every other triangle is thus u_i·x·y with x, y in X_i, or a triple of
-    outer vertices.  A vertex alone in its X_i is in no triangle through
-    u_i, and a vertex in no X_i lies in the same triangles whichever part it
-    joins, so moving such vertices into a part of size >= 2 (or, with no
-    such part, into one part holding every outer vertex) loses no triangle.
-    After relabeling S and the outer vertices, G's triangles beyond the K4
-    are candidates of one maximal attachment class: a partition of n - 4
-    into at most four parts, each >= 2, with X_0, X_1, ... consecutive runs
-    of 4..n-1 of those sizes, or the empty class when n - 4 <= 1.
 
-So scanning every (t - 4)-subset of each maximal class's candidates, seeded
-with the K4, meets the union of G's K4 and t - 4 of its other triangles: a
-subgraph of G, hence p4hat-free, and a hit.  The route misses K4-free
-graphs, so it refuses t <= floor(n^2/8).  At n = 8,
-t = 9 it visits 152 nodes over two classes.
+Let G be p4hat-free with t(G) >= t > floor(n^2/8), reduced to the union
+of its triangles; that keeps its triangles, keeps it p4hat-free and, by (a),
+keeps a K4, relabeled to S.
+
+1. By (b), t(G) = 4 + e + t(G - S), e = sum e(G[X_i]): each edge xy of
+   G[X_i] makes the one triangle u_i·x·y, and each triangle on u_i is one.
+2. Apex u_i sees any 4-vertex path of G[X_i], so its components are
+   triangles, stars and lone vertices (``bounds.neighborhood_structure``).
+3. None is a lone vertex: the edge u_i·x lies in a triangle u_i·x·w, and w
+   is in X_i, since w = u_j would put x in X_j.
+4. Up to relabeling, G thus holds a seed: the K4, a triangles-and-stars
+   graph with no isolated vertex on each X_i, each u_i joined to all of
+   X_i, the X_i consecutive runs from 4.  G has no other edge inside an
+   X_i, so its triangles in G - S are candidates: outer triples with no
+   non-seed edge inside one X_i, where two outer vertices share an X_i
+   exactly when they share a neighbour in S.
+
+Seeds are taken up to permuting S, with sum |X_i| <= n - 4.  Scanning the
+k-subsets of a seed's candidates, k = t - 4 - e, meets the seed plus k of
+G's triangles in G - S: a subgraph of G with >= t triangles, hence
+p4hat-free, and a hit.  With k <= 0 the seed is its own one union.  The
+route misses K4-free graphs, so it refuses t <= floor(n^2/8).  At n = 8,
+t = 9 it visits 10 nodes over 7 seeds.
 
 The pair route
 --------------
@@ -62,14 +72,15 @@ pruned subtrees included, so an exhausted scan accounts for every subset.
 The kernel
 ----------
 Subsets are enumerated in colexicographic rank order.  The unit of work is
-one subtree: all subsets whose largest candidate is m, the rank block
-[C(m, k), C(m + 1, k)).  Subtrees are scanned in increasing m, by one
-process or a pool, and their results are read in that order; a "first"
-search stops reading at the first subtree with a hit, so every result is
-independent of the worker count.  Each subtree is a depth-first walk that
-adds one triangle per level; every node holds its own union's adjacency
-rows, its parent's with the new triangle's edges OR-ed in, so leaving a node
-undoes nothing.  Containing the pattern is monotone under adding edges, so
+one subtree of one seed: all subsets whose largest candidate is m, the rank
+block [C(m, k), C(m + 1, k)).  Both routes go through one driver,
+``_scan_seeds``, which scans its seeds in order and each seed's subtrees in
+increasing m, by one process or a pool, and reads their results in that
+order; a "first" search stops reading at the first subtree with a hit, so
+every result is independent of the worker count.  Each subtree is a
+depth-first walk that adds one triangle per level; every node holds its own
+union's adjacency rows, its parent's with the new triangle's edges OR-ed
+in, so leaving a node undoes nothing.  Containing the pattern is monotone under adding edges, so
 the walk tests the union at every node and skips the subtree below any node
 whose union already contains it.
 
@@ -90,8 +101,7 @@ oracle over all labeled graphs covers n <= 7.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -104,6 +114,7 @@ from .graphs import (
     count_triangles,
     decode_graph6,
     edge_minimal_reduction,
+    from_edges,
     triangle_edges,
     union_of_triangles,
 )
@@ -111,7 +122,6 @@ from .patterns import _rows_contain_suspension
 from .pool import ordered_map
 
 FIXED_TRIANGLES: tuple[Triangle, Triangle] = ((0, 1, 2), (0, 1, 3))
-K4_TRIANGLES: tuple[Triangle, ...] = tuple(combinations(range(4), 3))
 SEARCH_MAX_VERTICES = 10
 EXHAUSTIVE_MAX_VERTICES = 7
 EXTREMAL_MAX_VERTICES = 8
@@ -223,93 +233,95 @@ def _scan(seed, cand_bits, k, top, first):
     return examined, nodes, hits
 
 
-def _scan_subtrees(first, n, cands, k, workers, progress=None):
-    """Scan the subtrees of all C(len(cands), k) subsets in increasing order
-    of their largest element and return their ``_scan`` results in that order.
+def _scan_seeds(scans, first, workers, progress=None):
+    """Scan every (rows, candidates, k) seed of ``scans`` through one
+    ``ordered_map`` of (seed, subtree) units, seeds in order and each
+    seed's subtrees in increasing largest candidate, and return each seed's
+    [examined, nodes, hits]: its ``_scan`` results summed.
 
-    The subtrees go through ``ordered_map``, so one process scans them all
-    when one suffices, and a pool never has more processes than subtrees.
-    In "first" mode the read ends at the first subtree with a hit and no
-    further subtree is sent to a worker, so the results never depend on the
-    worker count.  ``progress(i, examined)`` is called as the result of
-    subtree i is read.  Every subtree starts from the fixed pair's rows.
+    A pool never has more processes than units.  "first" mode ends the read
+    at the first unit with a hit and sends no further unit, so the results
+    never depend on the worker count.  ``progress(i, examined)`` is called
+    as unit i is read.  A read that ends at no hit must have examined all
+    C(len(candidates), k) subsets of every seed.
     """
-    seed = union_of_triangles(n, FIXED_TRIANGLES).adj
-    scan = partial(_scan, seed, _row_bits(cands), k, first=first)
-    results = []
-    with ordered_map(scan, range(k - 1, len(cands)), workers) as scanned:
-        for i, result in enumerate(scanned):
-            results.append(result)
+    seeds = tuple((rows, _row_bits(cands), k) for rows, cands, k in scans)
+    units = [(s, top) for s, (_, cands, k) in enumerate(scans)
+             for top in range(k - 1, len(cands))]
+
+    def scan(unit):
+        rows, cand_bits, k = seeds[unit[0]]
+        return _scan(rows, cand_bits, k, unit[1], first)
+
+    results = [[0, 0, []] for _ in scans]
+    with ordered_map(scan, units, workers) as scanned:
+        for i, ((s, _), (examined, nodes, hits)) in enumerate(zip(units, scanned)):
+            result = results[s]
+            result[0] += examined
+            result[1] += nodes
+            result[2] += hits
             if progress is not None:
-                progress(i, result[0])
-            if first and result[2]:
-                break
+                progress(i, examined)
+            if first and hits:
+                return results
+    for (_, cands, k), (examined, _, _) in zip(scans, results):
+        if examined != comb(len(cands), k):
+            raise AssertionError(f"exhausted scan examined {examined} of "
+                                 f"{comb(len(cands), k)} subsets")
     return results
 
 
-# -- the K4-rooted scan by attachment class ------------------------------------
-
-def _attachment_classes(n: int) -> list[tuple[int, ...]]:
-    """The maximal attachment classes on n >= 4 vertices: the partitions of
-    n - 4 into at most four parts, each >= 2, largest part first, in
-    decreasing lexicographic order; only the empty class when n - 4 <= 1."""
-    def partitions(rest, largest, parts):
-        if rest == 0:
-            yield parts
-        elif len(parts) < 4:
-            for p in range(min(rest, largest), 1, -1):
-                yield from partitions(rest - p, p, parts + (p,))
-
-    return list(partitions(n - 4, n - 4, ())) or [()]
+def _pair_seed(n, t):
+    """The pair route's one seed for target t: the fixed pair's rows, its
+    candidates and k = t - 2."""
+    return union_of_triangles(n, FIXED_TRIANGLES).adj, candidate_triangles(n), t - 2
 
 
-def _k4_candidates(n: int, parts: tuple[int, ...]) -> list[Triangle]:
-    """Triangles admissible next to the K4 on S = {0,1,2,3} in the class
-    ``parts``, in lexicographic order: u_i·x·y for x, y in X_i, where
-    X_0, X_1, ... are consecutive runs of 4..n-1 of the sizes in ``parts``,
-    and every triple of outer vertices."""
-    owner = [i for i, size in enumerate(parts) for _ in range(size)]
-    owner = [None] * 4 + owner + [None] * (n - 4 - len(owner))
-    return [(a, b, c) for a, b, c in combinations(range(n), 3)
-            if a >= 4 or (b >= 4 and owner[b] == owner[c] == a)]
+# -- the K4 route's seeds ---------------------------------------------------
+
+def _x_graphs(size):
+    """The graphs whose components are triangles and stars with at least one
+    edge, on at most ``size`` vertices, one per isomorphism class, the empty
+    graph first: each as (vertex count m, edges on 0..m-1)."""
+    parts = [(c, [(0, j) for j in range(1, c)]) for c in range(2, size + 1)]
+    parts.append((3, [(0, 1), (0, 2), (1, 2)]))
+
+    def grow(first, m, edges):
+        yield m, edges
+        for i in range(first, len(parts)):
+            c, part = parts[i]
+            if m + c <= size:
+                yield from grow(i, m + c, edges + [(m + a, m + b) for a, b in part])
+
+    return list(grow(0, 0, []))
 
 
-def _scan_unit(seed, class_bits, unit):
-    """The collect ``_scan`` of one (t, class index, largest candidate) unit."""
-    t, c, top = unit
-    return _scan(seed, class_bits[c], t - 4, top, False)
-
-
-def _scan_k4(n, targets, workers):
-    """Scan every (t, class, subtree) unit of the K4 route for the targets
-    t >= 5, in that order, through one ``ordered_map``, collecting every hit.
-
-    Each class's candidate bits are built once, and every class must have
-    examined all C(len(candidates), t - 4) subsets.  Returns the classes
-    and, for each t, the nodes visited per class and the hits' adjacency
-    rows in unit order.
+def _k4_seeds(n, t):
+    """The K4 route's (rows, candidates, k) seeds on n >= 4 vertices for
+    target t: the K4 on 0123 plus a multiset of four ``_x_graphs`` on X_0,
+    X_1, ..., consecutive runs from 4, with each u_i joined to all of X_i.
+    The candidates are the outer triples, in lexicographic order, whose
+    pairs that share a neighbour in S are seed edges, and k = t - 4 - e for
+    e edges inside the X_i.  A seed with k <= 0 scans the one 1-subset of
+    its own triangle 012, so that its one union is the seed itself.
     """
-    classes = _attachment_classes(n)
-    cands = [_k4_candidates(n, parts) for parts in classes]
-    seed = union_of_triangles(n, K4_TRIANGLES).adj
-    units = [(t, c, top) for t in targets for c, cs in enumerate(cands)
-             for top in range(t - 5, len(cs))]
-    scan = partial(_scan_unit, seed, tuple(_row_bits(cs) for cs in cands))
-    examined = dict.fromkeys([(t, c) for t in targets for c in range(len(classes))], 0)
-    nodes = dict.fromkeys(examined, 0)
-    hits: dict[int, list[tuple[int, ...]]] = {t: [] for t in targets}
-    with ordered_map(scan, units, workers) as scanned:
-        for (t, c, _), (unit_examined, unit_nodes, unit_hits) in zip(units, scanned):
-            examined[t, c] += unit_examined
-            nodes[t, c] += unit_nodes
-            hits[t] += [rows for _, rows in unit_hits]
-    for (t, c), count in examined.items():
-        if count != comb(len(cands[c]), t - 4):
-            raise AssertionError(f"class {classes[c]} at t={t} examined {count} of "
-                                 f"{comb(len(cands[c]), t - 4)} subsets")
-    per_target = {t: (tuple(nodes[t, c] for c in range(len(classes))), hits[t])
-                  for t in targets}
-    return tuple(classes), per_target
+    seeds = []
+    for xs in combinations_with_replacement(_x_graphs(n - 4), 4):
+        if sum(m for m, _ in xs) > n - 4:
+            continue
+        edges = list(combinations(range(4), 2))
+        first = 4
+        for u, (m, x_edges) in enumerate(xs):
+            edges += [(u, first + x) for x in range(m)]
+            edges += [(first + a, first + b) for a, b in x_edges]
+            first += m
+        rows = from_edges(n, edges).adj
+        cands = [tri for tri in combinations(range(4, n), 3)
+                 if all(rows[a] >> b & 1 or not rows[a] & rows[b] & 0b1111
+                        for a, b in combinations(tri, 2))]
+        k = t - 4 - sum(len(x_edges) for _, x_edges in xs)
+        seeds.append((rows, cands, k) if k > 0 else (rows, [(0, 1, 2)], 1))
+    return seeds
 
 
 # -- public search operations ---------------------------------------------------
@@ -353,70 +365,52 @@ def counterexample_search(
     if t < 3:
         raise GuardError(f"target triangle count must be >= 3, got {t}")
 
-    cands = candidate_triangles(n)
-    k = t - 2
-
-    results = _scan_subtrees(True, n, cands, k, workers, progress)
-    nodes = sum(r[1] for r in results)
-
-    if results and results[-1][2]:
-        winner_rank, rows = results[-1][2][0]
+    [(examined, nodes, hits)] = _scan_seeds([_pair_seed(n, t)], True, workers, progress)
+    if hits:
+        rank, rows = hits[0]
         graph = Graph(n, rows)
         excess = 1 if count_triangles(graph) > t else 0
-        return SearchReport(
-            "counterexample", winner_rank + 1, nodes, excess, graph, winner_rank, False
-        )
-
-    examined = sum(r[0] for r in results)
-    total = comb(len(cands), k)
-    if examined != total:
-        raise AssertionError(f"exhausted scan examined {examined} of {total} subsets")
+        return SearchReport("counterexample", examined, nodes, excess, graph, rank, False)
     return SearchReport("exhausted", examined, nodes, 0, None, None, t > n * n // 8)
 
 
 class CertificateReport(NamedTuple):
     """Outcome of the K4-rooted scan for (n, t).
 
-    ``classes`` lists the maximal attachment classes scanned, each as the
-    sizes of X_0, X_1, ...; ``nodes_per_class`` counts the detector calls
-    in each class.  The counterexample is the first hit in class and
-    subtree order: the K4 itself when t <= 4.  Every field is independent
-    of the worker count.
+    ``seeds`` lists the seed graphs in scan order, and ``nodes_per_seed``
+    the detector calls in each seed's subtrees read.  The counterexample is
+    the first hit in seed and subtree order.  Every field is independent of
+    the worker count.
     """
 
     outcome: str  # "exhausted" | "counterexample"
-    classes: tuple[tuple[int, ...], ...]
-    nodes_per_class: tuple[int, ...]
+    seeds: tuple[Graph, ...]
+    nodes_per_seed: tuple[int, ...]
     counterexample: Graph | None
 
 
 def certify_upper_bound(n: int, t: int, workers: int = 1) -> CertificateReport:
     """Decide whether some n-vertex p4hat-free graph holds >= t triangles,
-    by the K4-rooted scan over the maximal attachment classes.
+    by the K4-rooted scan over the seeds built from the X_i graphs.
 
-    Soundness rests on facts (a)-(c) of the module docstring: for
-    t > floor(n^2/8) such a graph contains a K4 (a), every triangle beyond
-    the K4's four has at most one vertex u_i in S and then two in X_i (b),
-    and up to relabeling its triangles are candidates of a maximal class
-    (c).  "exhausted" therefore certifies that no such graph exists.  Below
-    that bound the route would miss K4-free graphs, so t <= floor(n^2/8)
-    raises ``GuardError``.
+    By facts (a) and (b) of the module docstring and the four steps after
+    them, such a graph with t > floor(n^2/8) holds a seed and t - 4 - e of
+    its candidates, so "exhausted" certifies that none exists.  Below that
+    bound the route would miss K4-free graphs, so t <= floor(n^2/8) raises
+    ``GuardError``.
     """
     if not 4 <= n <= SEARCH_MAX_VERTICES:
         raise GuardError(f"certify_upper_bound supports 4 <= n <= {SEARCH_MAX_VERTICES}")
     if t <= n * n // 8:
         raise GuardError(f"the K4 route needs t > floor(n^2/8) = {n * n // 8}, got {t}")
-    if workers < 1:
-        raise GuardError(f"worker count must be >= 1, got {workers}")
-    if t <= 4:  # k <= 0: the K4 alone is the union
-        classes = tuple(_attachment_classes(n))
-        k4 = union_of_triangles(n, K4_TRIANGLES)
-        return CertificateReport("counterexample", classes, (0,) * len(classes), k4)
-    classes, per_target = _scan_k4(n, (t,), workers)
-    nodes, hits = per_target[t]
-    if hits:
-        return CertificateReport("counterexample", classes, nodes, Graph(n, hits[0]))
-    return CertificateReport("exhausted", classes, nodes, None)
+    scans = _k4_seeds(n, t)
+    results = _scan_seeds(scans, True, workers)
+    seeds = tuple(Graph(n, rows) for rows, _, _ in scans)
+    nodes = tuple(result[1] for result in results)
+    for _, _, hits in results:
+        if hits:
+            return CertificateReport("counterexample", seeds, nodes, Graph(n, hits[0][1]))
+    return CertificateReport("exhausted", seeds, nodes, None)
 
 
 def exhaustive_oracle(n: int) -> tuple[int, list[Graph]]:
@@ -455,27 +449,20 @@ def enumerate_extremal_configs(n: int, ex_value: int, workers: int = 1) -> list[
     Every configuration with two triangles sharing an edge comes from the
     seeded subset scan, filtered to exactly ``ex_value`` triangles; the
     result is edge-minimal, deduplicated by canonical form, and sorted.
-
-    The guard 2 * ex_value >= floor(n^2/4) leaves no other kind.  Removing
-    one edge from each of t pairwise edge-disjoint triangles leaves a
-    triangle-free graph with at least 2t edges, so 2t <= floor(n^2/4)
-    (Mantel).  Equality forces K_{floor(n/2),ceil(n/2)}; each removed edge
-    lies inside one part, so in >= floor(n/2) >= 2 triangles: not disjoint.
+    The guard 2 * ex_value >= floor(n^2/4) leaves no other kind, by the
+    Mantel argument of the module docstring's "Configurations".
     """
     if not 5 <= n <= EXTREMAL_MAX_VERTICES:
         raise GuardError(f"config enumeration supports 5 <= n <= {EXTREMAL_MAX_VERTICES}")
     if 2 * ex_value < n * n // 4:
         raise GuardError(f"config enumeration needs 2 * ex_value >= {n * n // 4}, got {ex_value}")
 
-    cands = candidate_triangles(n)
     forms: set[bytes] = set()
-
-    for _, _, hits in _scan_subtrees(False, n, cands, ex_value - 2, workers):
-        for _, rows in hits:
-            graph = Graph(n, rows)
-            if count_triangles(graph) == ex_value:
-                forms.add(canonical_form(graph))
-
+    [(_, _, hits)] = _scan_seeds([_pair_seed(n, ex_value)], False, workers)
+    for _, rows in hits:
+        graph = Graph(n, rows)
+        if count_triangles(graph) == ex_value:
+            forms.add(canonical_form(graph))
     return [decode_graph6(f) for f in sorted(forms)]
 
 
@@ -506,8 +493,9 @@ def extremal_value(n: int, workers: int = 1) -> tuple[int, list[Graph]]:
         return exhaustive_oracle(n)
 
     bound = n * n // 8
-    _, per_target = _scan_k4(n, (bound + 1, bound), workers)
-    if per_target[bound + 1][1]:
+    upper = _k4_seeds(n, bound + 1)
+    results = _scan_seeds(upper + _k4_seeds(n, bound), False, workers)
+    if any(hits for _, _, hits in results[:len(upper)]):
         raise AssertionError(f"upper-bound scan for n={n} found a p4hat-free union "
                              f"with {bound + 1} triangles")
     witness = bipartite_matching(n)
@@ -517,8 +505,9 @@ def extremal_value(n: int, workers: int = 1) -> tuple[int, list[Graph]]:
         raise AssertionError(f"n={n} is not Mantel's equality case; the K4-free "
                              "configurations are not forced")
     forms = {canonical_form(witness)}
-    for rows in per_target[bound][1]:
-        graph = Graph(n, rows)
-        if count_triangles(graph) == bound:
-            forms.add(canonical_form(graph))
+    for _, _, hits in results[len(upper):]:
+        for _, rows in hits:
+            graph = Graph(n, rows)
+            if count_triangles(graph) == bound:
+                forms.add(canonical_form(graph))
     return bound, [decode_graph6(f) for f in sorted(forms)]

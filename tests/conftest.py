@@ -6,12 +6,14 @@ import random
 import subprocess
 import sys
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
-from p4hat import Graph, encode_graph6, from_edges, pool
+from p4hat import Graph, encode_graph6, from_edges, pool, union_of_triangles
 from p4hat.canon import _refined_classes
 from p4hat.patterns import _rows_contain_suspension
+from p4hat.search import _row_bits, _scan
 
 
 def naive_triangle_count(g: Graph) -> int:
@@ -83,6 +85,55 @@ def reference_canonical_form(g: Graph) -> bytes:
     return encode_graph6(from_edges(n, [
         (i, j) for i in range(n) for j in range(i + 1, n) if adj[best_perm[i]] >> best_perm[j] & 1
     ]))
+
+
+def attachment_classes(n: int) -> list[tuple[int, ...]]:
+    """The maximal attachment classes on n >= 4 vertices: the partitions of
+    n - 4 into at most four parts, each >= 2, largest part first, in
+    decreasing lexicographic order; only the empty class when n - 4 <= 1."""
+    def partitions(rest, largest, parts):
+        if rest == 0:
+            yield parts
+        elif len(parts) < 4:
+            for p in range(min(rest, largest), 1, -1):
+                yield from partitions(rest - p, p, parts + (p,))
+
+    return list(partitions(n - 4, n - 4, ())) or [()]
+
+
+def class_candidates(n: int, parts: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """Triangles admissible next to the K4 on S = {0,1,2,3} in the class
+    ``parts``, in lexicographic order: u_i·x·y for x, y in X_i, where
+    X_0, X_1, ... are consecutive runs of 4..n-1 of the sizes in ``parts``,
+    and every triple of outer vertices."""
+    owner = [i for i, size in enumerate(parts) for _ in range(size)]
+    owner = [None] * 4 + owner + [None] * (n - 4 - len(owner))
+    return [(a, b, c) for a, b, c in combinations(range(n), 3)
+            if a >= 4 or (b >= 4 and owner[b] == owner[c] == a)]
+
+
+def class_route_hits(n: int, t: int) -> list[tuple[int, ...]]:
+    """Second route for the K4-rooted scan, t >= 5: the K4 on 0123 unioned
+    with every (t - 4)-subset of each maximal attachment class's candidates.
+
+    A p4hat-free graph with a K4 on S has its triangles beyond the K4's four
+    among u_i·x·y (x, y in X_i) and the outer triples; moving a vertex that
+    is alone in its X_i or in no X_i into a part of size >= 2 loses no
+    triangle, so one maximal class covers it.  Returns the adjacency rows
+    of every p4hat-free union, class by class in colex order, after checking
+    that each class examined all its subsets.
+    """
+    k4 = union_of_triangles(n, combinations(range(4), 3)).adj
+    hits = []
+    for parts in attachment_classes(n):
+        cands = class_candidates(n, parts)
+        examined = 0
+        for top in range(t - 5, len(cands)):
+            top_examined, _, top_hits = _scan(k4, _row_bits(cands), t - 4, top, False)
+            examined += top_examined
+            hits += [rows for _, rows in top_hits]
+        assert examined == comb(len(cands), t - 4), (n, t, parts)
+    return hits
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:

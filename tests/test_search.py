@@ -1,11 +1,12 @@
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
 
 from p4hat import (
     FIXED_TRIANGLES,
+    Graph,
     GuardError,
     are_isomorphic,
     book,
@@ -15,6 +16,7 @@ from p4hat import (
     colex_rank,
     colex_unrank,
     complete,
+    contains_path4,
     count_triangles,
     counterexample_search,
     enumerate_extremal_configs,
@@ -23,11 +25,14 @@ from p4hat import (
     extremal_value,
     from_edges,
     is_p4hat_free,
+    neighborhood_structure,
     small_extremal,
     union_of_triangles,
 )
 from p4hat import search
-from p4hat.search import _row_bits, _scan, _scan_subtrees
+from p4hat.search import _k4_seeds, _pair_seed, _row_bits, _scan, _scan_seeds
+
+from conftest import class_route_hits
 
 # ex(n) for the sizes the unpruned reference scan can cover
 SMALL_EX = {5: 4, 6: 5, 7: 8}
@@ -117,9 +122,7 @@ class TestPrunedScan:
                 k = t - 2
                 total = comb(len(cands), k)
                 ref = _reference_hits(n, k)
-                results = _scan_subtrees(False, n, cands, k, 1)
-                examined = sum(r[0] for r in results)
-                hits = [hit for r in results for hit in r[2]]
+                [(examined, _, hits)] = _scan_seeds([_pair_seed(n, t)], False, 1)
                 assert (examined, hits) == (total, ref), (n, t)
                 report = counterexample_search(n, t)
                 if ref:
@@ -164,18 +167,22 @@ class TestPrunedScan:
         assert checked == 34 and with_hits == 5
 
     def test_stop_rule(self):
-        # "first" mode ends the ordered read at the first subtree with a hit,
-        # whatever the worker count
-        cands = candidate_triangles(8)
-        collect = _scan_subtrees(False, 8, cands, 6, 1)
-        i = next(i for i, r in enumerate(collect) if r[2])
-        hit = collect[i][2][0]
+        # "first" mode ends the ordered read at the first unit with a hit,
+        # whatever the worker count: here subtree j of the second seed, after
+        # all 32 subtrees of the first, which exhausts
+        scans = [_pair_seed(8, 9), _pair_seed(8, 8)]
+        collect = []
+        results = _scan_seeds(scans, False, 1, lambda i, e: collect.append(e))
+        hit = results[1][2][0]
+        j = next(j for j, top in enumerate(range(5, 38)) if hit[0] < comb(top + 1, 6))
         for workers in (1, 2):
-            first = _scan_subtrees(True, 8, cands, 6, workers)
-            assert len(first) == i + 1
-            assert first[:i] == collect[:i]
-            assert first[i][2] == [hit]
-            assert first[i][0] == hit[0] - comb(i + 5, 6) + 1
+            first = []
+            results = _scan_seeds(scans, True, workers, lambda i, e: first.append(e))
+            assert results[0] == [comb(38, 7), 19921, []]
+            assert results[1][0] == hit[0] + 1 and results[1][2] == [hit]
+            assert len(first) == 32 + j + 1
+            assert first[:-1] == collect[:32 + j]
+            assert first[-1] == hit[0] - comb(j + 5, 6) + 1
 
 
 class TestCounterexampleSearch:
@@ -293,8 +300,8 @@ class TestCounterexampleSearch:
 
 
 class TestCertifyUpperBound:
-    """The K4-rooted scan by attachment class, against the pair route and
-    the oracle."""
+    """The K4-rooted scan over the X_i seeds, against the class route, the
+    pair route and the oracle."""
 
     def test_both_routes_exhaust(self):
         for n, t in ((8, 9), (9, 11)):
@@ -311,38 +318,97 @@ class TestCertifyUpperBound:
             assert certify_upper_bound(n, ex + 1).outcome == "exhausted", n
 
     def test_k4_alone_meets_small_targets(self):
-        # k = t - 4 <= 0: no subset to scan, the seed is the union
+        # k = t - 4 <= 0: the one seed is its own union
         for n, t in ((4, 3), (4, 4), (5, 4)):
             report = certify_upper_bound(n, t)
             assert report.outcome == "counterexample"
             assert report.counterexample == from_edges(n, complete(4).edges())
-            assert report.classes == ((),) and report.nodes_per_class == (0,)
+            assert report.seeds == (report.counterexample,) and report.nodes_per_seed == (1,)
         assert certify_upper_bound(4, 5).outcome == "exhausted"
 
-    def test_nodes_per_class_sentinel(self):
-        # detector calls per maximal class; a change here means the classes,
-        # their candidates or the pruning changed
+    def test_nodes_per_seed_sentinel(self):
+        # detector calls per seed; a change here means the seeds, their
+        # candidates or the pruning changed
         expected = {
-            (8, 9): (((4,), (2, 2)), (136, 16)),
-            (9, 11): (((5,), (3, 2)), (2273, 293)),
-            (10, 13): (((6,), (4, 2), (3, 3), (2, 2, 2)), (58485, 8518, 6379, 2941)),
+            (8, 9): (0, 2, 0, 0, 0, 3, 5),
+            (9, 11): (56, 75, 0, 0, 0, 12, 0, 0, 23, 32, 4, 20),
+            (10, 13): (1277, 908, 5, 0, 0, 0, 1, 338, 0, 0, 37, 0,
+                       0, 441, 0, 556, 16, 57, 6, 129, 8, 26, 36, 306),
         }
-        for (n, t), (classes, nodes) in expected.items():
+        for (n, t), nodes in expected.items():
+            seeds = tuple(Graph(n, rows) for rows, _, _ in _k4_seeds(n, t))
             for workers in (1, 2, 8):
                 report = certify_upper_bound(n, t, workers=workers)
-                assert report == search.CertificateReport("exhausted", classes, nodes, None)
-        assert sum(expected[8, 9][1]) == 152 and sum(expected[9, 11][1]) == 2566
-        assert sum(expected[10, 13][1]) == 76_323
+                assert report == search.CertificateReport("exhausted", seeds, nodes, None)
+        assert sum(expected[8, 9]) == 10 and sum(expected[9, 11]) == 222
+        assert sum(expected[10, 13]) == 4147
 
-    def test_candidates_have_at_most_one_vertex_in_s(self):
+    def test_matches_class_route(self):
+        # the same outcome and the same canonical forms with exactly t
+        # triangles as the attachment-class route, around floor(n^2/8)
+        pairs = [(n, t) for n in range(5, 11)
+                 for t in range(max(5, n * n // 8 - 1), n * n // 8 + 3)]
+        assert len(pairs) == 19
+
+        def exact_forms(n, t, hits):
+            graphs = (Graph(n, rows) for rows in hits)
+            return {canonical_form(g) for g in graphs if count_triangles(g) == t}
+
+        for n, t in pairs:
+            results = _scan_seeds(_k4_seeds(n, t), False, 1)
+            hits = [rows for _, _, seed_hits in results for _, rows in seed_hits]
+            reference = class_route_hits(n, t)
+            assert bool(hits) == bool(reference), (n, t)
+            assert exact_forms(n, t, hits) == exact_forms(n, t, reference), (n, t)
+
+    def test_x_graphs_and_seed_counts_match_brute_force(self):
+        # every graph on m <= 6 vertices with no isolated vertex and no
+        # 4-vertex path, up to isomorphism; a seed is a multiset of four of
+        # them or empty sets, on at most n - 4 vertices in all
+        forms = {0: {b""}}
+        for m in range(2, 7):
+            edges = list(combinations(range(m), 2))
+            graphs = (from_edges(m, [e for i, e in enumerate(edges) if mask >> i & 1])
+                      for mask in range(1 << len(edges)))
+            forms[m] = {canonical_form(g) for g in graphs
+                        if all(g.adj) and contains_path4(g) is None}
+        assert [len(forms[m]) for m in range(2, 7)] == [1, 2, 2, 3, 6]
+        options = [(m, form) for m in sorted(forms) for form in sorted(forms[m])]
+        for n, count in zip(range(4, 11), (1, 1, 2, 4, 7, 12, 24)):
+            brute = {tuple(sorted(form for _, form in xs))
+                     for xs in combinations_with_replacement(options, 4)
+                     if sum(m for m, _ in xs) <= n - 4}
+            seeds = [self._x_forms(Graph(n, rows)) for rows, _, _ in _k4_seeds(n, 99)]
+            assert len(seeds) == len(set(seeds)) == len(brute) == count, n
+            assert set(seeds) == brute, n
+
+    @staticmethod
+    def _x_forms(seed):
+        """The sorted canonical forms of the seed's four G[X_i], b"" when empty."""
+        forms = []
+        for xs in neighborhood_structure(seed, (0, 1, 2, 3)).x_sets:
+            pairs = [(i, j) for i, j in combinations(range(len(xs)), 2)
+                     if seed.has_edge(xs[i], xs[j])]
+            forms.append(canonical_form(from_edges(len(xs), pairs)) if xs else b"")
+        return tuple(sorted(forms))
+
+    def test_candidates_have_no_non_seed_edge_inside_one_x(self):
+        # at t = 99 every seed has k = t - 4 - e > 0 and scans its candidates
         for n in range(4, 11):
-            for parts in search._attachment_classes(n):
-                assert sum(parts) in (n - 4, 0) and all(p >= 2 for p in parts)
-                cands = search._k4_candidates(n, parts)
-                outer = [tri for tri in cands if tri[0] >= 4]
-                assert len(outer) == comb(n - 4, 3)
-                assert len(cands) - len(outer) == sum(comb(p, 2) for p in parts)
-                assert all(tri[1] >= 4 for tri in cands)
+            for rows, cands, k in _k4_seeds(n, 99):
+                seed = Graph(n, rows)
+                report = neighborhood_structure(seed, (0, 1, 2, 3))
+                assert report.disjoint and all(report.x_p4_free)
+                assert report.ts_identity == "holds"
+                assert sum(report.x_edge_counts) == 99 - 4 - k
+                assert is_p4hat_free(seed)
+                part = {x: i for i, xs in enumerate(report.x_sets) for x in xs}
+                for xs in report.x_sets:
+                    assert all(seed.adj[x] & sum(1 << y for y in xs) for x in xs), xs
+                allowed = [tri for tri in combinations(range(4, n), 3)
+                           if all(seed.has_edge(a, b) or part.get(a, -1) != part.get(b, -2)
+                                  for a, b in combinations(tri, 2))]
+                assert cands == allowed, (n, rows)
 
     def test_guards(self):
         # at or below floor(n^2/8) the route would miss K4-free graphs
