@@ -9,11 +9,19 @@ arbitrary inputs can still be described.
 
 ``decompose`` finds the blocks in one walk over the edges in lexicographic
 order.  An edge whose endpoints share no neighbour lies in no triangle and
-is a stray; any other edge not yet placed starts a block, which grows
-through the common neighbours of each edge it holds to the other two edges
-of every triangle on that edge.  Placed edges are marked in one bitmask
-per vertex.  The walk meets every triangle of the block, so the block is
-classified from what it collected, with no subgraph rebuilt;
+is a stray; any other edge not yet placed starts a block.  Placed edges are
+marked in one bitmask per vertex, symmetrically, so a block grows by masks:
+for each edge (a, b) it holds, the common neighbours C = N(a) & N(b) give
+the edges a·w and b·w (w in C) of every triangle on (a, b), and
+``C & ~placed[a]`` (likewise for b) is exactly the new ones, so each edge
+is placed once rather than once per triangle that reaches it.  Every
+triangle on a block's edges lies wholly in the block, so |C| is the number
+of the block's triangles on (a, b): the counts summed over the block's
+edges are three times its triangle count.  A block shaped like a book with
+t pages (2t + 1 edges on t + 2 vertices) is one exactly when some edge has
+t common neighbours, and that edge is the base; for t = 1 every edge does,
+and the least is taken.  So the block is classified from what the walk
+collected, with no subgraph rebuilt and no triangle listed;
 ``classify_block`` is the same classification for an edge set from
 outside.
 
@@ -32,13 +40,10 @@ from .graphs import (
     Edge,
     Graph,
     GraphError,
-    Triangle,
     _bits,
     count_triangles,
-    enumerate_triangles,
     find_k4,
     from_edges,
-    triangle_edges,
 )
 from .patterns import SuspensionWitness, contains_suspension_p4
 
@@ -79,28 +84,25 @@ def classify_block(edges) -> Block:
         raise GraphError("classify_block needs at least one edge")
     verts = sorted({v for e in edge_list for v in e})
     sub = from_edges(verts[-1] + 1, edge_list)
-    return _classify(tuple(verts), tuple(edge_list), enumerate_triangles(sub))
+    return _classify(sub.adj, tuple(verts), tuple(edge_list), count_triangles(sub))
 
 
-def _classify(verts: tuple[int, ...], edges: tuple[Edge, ...],
-              tris: list[Triangle]) -> Block:
-    """Classify a block from its sorted vertices and edges and every
-    triangle whose three edges lie in it."""
-    t = len(tris)
+def _classify(adj: tuple[int, ...], verts: tuple[int, ...], edges: tuple[Edge, ...],
+              t: int) -> Block:
+    """Classify a block from its sorted vertices and edges and its triangle
+    count ``t``, given rows ``adj`` in which the common neighbours of each
+    block edge are the third vertices of the block's triangles on it."""
     nv, ne = len(verts), len(edges)
 
     if nv == 4 and ne == 6 and t == 4:
         return Block("K4", None, verts, edges, t, None)
 
     if t >= 1 and ne == 2 * t + 1 and nv == t + 2:
-        if t == 1:
-            base = min(triangle_edges(tris[0]))
-            return Block("Book", 1, verts, edges, 1, base)
-        common = set(triangle_edges(tris[0]))
-        for tri in tris[1:]:
-            common &= set(triangle_edges(tri))
-        if len(common) == 1:
-            return Block("Book", t, verts, edges, t, common.pop())
+        # the base lies in all t triangles; for t = 1 every edge does, and
+        # the least is taken
+        for x, y in edges:
+            if (adj[x] & adj[y]).bit_count() == t:
+                return Block("Book", t, verts, edges, t, (x, y))
 
     return Block("Other", None, verts, edges, t, None)
 
@@ -111,12 +113,12 @@ def decompose(g: Graph) -> BlockDecomposition:
     One pass over the edges in lexicographic order (see the module
     docstring), so blocks come out ordered by their least edge and strays
     in lexicographic order.  Every triangle on a block's edges shares an
-    edge with the block and so lies wholly in it: the triangles met while
-    growing the block are all of its triangles.  Each is kept once, from
-    its least edge, and the block is classified from them.
+    edge with the block and so lies wholly in it, so the common neighbours
+    of a block edge in ``g`` are the third vertices of the block's
+    triangles on that edge.
     """
     adj = g.adj
-    placed = [0] * g.n  # bit v of placed[u]: edge (u, v), u < v, is in a block
+    placed = [0] * g.n  # bit y of placed[x]: edge {x, y} is in a block
     blocks = []
     strays = []
     for u, ru in enumerate(adj):
@@ -129,6 +131,7 @@ def decompose(g: Graph) -> BlockDecomposition:
                 strays.append((u, v))
             elif not placed[u] & low:
                 placed[u] |= low
+                placed[v] |= 1 << u
                 blocks.append(_grow_block(adj, placed, u, v))
     return BlockDecomposition(tuple(blocks), tuple(strays))
 
@@ -136,23 +139,23 @@ def decompose(g: Graph) -> BlockDecomposition:
 def _grow_block(adj: tuple[int, ...], placed: list[int], u: int, v: int) -> Block:
     """The block of the placed edge (u, v); places every edge it adds."""
     edges = [(u, v)]
-    tris = []
     vmask = 1 << u | 1 << v
+    incidences = 0  # triangle-edge incidences: three per triangle
     for a, b in edges:  # the list grows as the loop runs: a breadth-first walk
         common = adj[a] & adj[b]
         vmask |= common
-        while common:
-            low = common & -common
-            common ^= low
-            w = low.bit_length() - 1
-            if w > b:
-                tris.append((a, b, w))
-            for x, y in ((a, w) if a < w else (w, a), (b, w) if b < w else (w, b)):
-                if not placed[x] >> y & 1:
-                    placed[x] |= 1 << y
-                    edges.append((x, y))
+        incidences += common.bit_count()
+        for x in a, b:
+            new = common & ~placed[x]  # edges {x, w} not yet in a block
+            placed[x] |= new
+            xbit = 1 << x
+            while new:
+                w = new.bit_length() - 1
+                new ^= 1 << w
+                placed[w] |= xbit
+                edges.append((x, w) if x < w else (w, x))
     edges.sort()
-    return _classify(tuple(_bits(vmask)), tuple(edges), tris)
+    return _classify(adj, tuple(_bits(vmask)), tuple(edges), incidences // 3)
 
 
 def _require_k4_free_p4hat_free(g: Graph) -> None:

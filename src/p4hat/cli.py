@@ -68,9 +68,14 @@ def _cmd_document(build: Callable[[argparse.Namespace], Fields],
     return EXIT_FOUND if found else EXIT_OK
 
 
+# one encoder for every line; a line's fields are built fresh for it and
+# hold no cycle, so the encoder need not look for one
+_encode_line = json.JSONEncoder(separators=(", ", ": "), check_circular=False).encode
+
+
 def _emit_line(doc: dict[str, Any], fmt: str, out: TextIO) -> None:
     if fmt == "json":
-        out.write(json.dumps(doc, separators=(", ", ": ")))
+        out.write(_encode_line(doc))
         out.write("\n")
     else:
         out.write("  ".join(f"{k}={v}" for k, v in doc.items()))

@@ -56,28 +56,41 @@ def _bits(x: int) -> Iterator[int]:
 
 
 class Graph:
-    """Simple undirected graph: vertex count plus per-vertex neighbor masks."""
+    """Simple undirected graph: vertex count plus per-vertex neighbor masks.
+
+    The constructor validates the rows in one pass.  Each row must be a
+    non-negative mask below ``1 << n`` with no loop bit; each bit u of row v
+    below the diagonal (u < v) must be mirrored by bit v of row u; and the
+    bits below the diagonal must be half of all the set bits, as many as
+    those above it.  That is exactly symmetry: mirroring sends the lower
+    entries one-to-one into the upper entries, and equal counts make that
+    map onto, so every upper entry is mirrored as well.  Only the lower
+    half is walked bit by bit.  On any fault the rows are scanned again in
+    order (``_raise_first_fault``), which raises what the first bad row or
+    pair calls for.
+    """
 
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
-        if not isinstance(n, int) or not 1 <= n <= MAX_VERTICES:
+        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_VERTICES:
             raise VertexCountError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
         if len(adj) != n:
             raise GraphError(f"adjacency has {len(adj)} rows for n={n}")
-        full = (1 << n) - 1
+        lower = total = 0
         for v, row in enumerate(adj):
-            if row >> v & 1:
-                raise LoopEdgeError(f"loop at vertex {v}")
-            if row & ~full:
-                raise VertexRangeError(f"row {v} has neighbor bits at or above n={n}")
-        for v, row in enumerate(adj):
-            while row:
-                low = row & -row
+            if row >> v & 1 or row >> n:  # a loop, a bit at or above n, or a negative row
+                _raise_first_fault(n, adj)
+            low = row & (1 << v) - 1
+            lower += low.bit_count()
+            total += row.bit_count()
+            while low:
                 u = low.bit_length() - 1
                 if not adj[u] >> v & 1:
-                    raise GraphError(f"adjacency not symmetric at ({u}, {v})")
-                row ^= low
+                    _raise_first_fault(n, adj)
+                low ^= 1 << u
+        if 2 * lower != total:
+            _raise_first_fault(n, adj)
         self.n = n
         self.adj = tuple(adj)
 
@@ -111,13 +124,33 @@ class Graph:
         return f"Graph(n={self.n}, e={self.edge_count()})"
 
 
+def _raise_first_fault(n: int, adj: tuple[int, ...]) -> None:
+    """Raise for the first faulty row in order, else for the first
+    unmirrored bit; ``Graph`` calls it once its one-pass check has failed."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row < 0:
+            raise VertexRangeError(f"row {v} is negative: {row}")
+        if row >> v & 1:
+            raise LoopEdgeError(f"loop at vertex {v}")
+        if row & ~full:
+            raise VertexRangeError(f"row {v} has neighbor bits at or above n={n}")
+    for v, row in enumerate(adj):
+        while row:
+            low = row & -row
+            u = low.bit_length() - 1
+            if not adj[u] >> v & 1:
+                raise GraphError(f"adjacency not symmetric at ({u}, {v})")
+            row ^= low
+
+
 def from_edges(n: int, edges: Iterable[Edge]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse.
 
     Raises VertexCountError / VertexRangeError / LoopEdgeError for the
     corresponding invalid inputs.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_VERTICES:
+    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_VERTICES:
         raise VertexCountError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
     rows = [0] * n
     for u, v in edges:
@@ -299,16 +332,17 @@ def decode_graph6(data: bytes | str) -> Graph:
     pairs = _graph6_pairs(n)
     rows = [0] * n
     while bits:
-        low = bits & -bits
-        u, v = pairs[low.bit_length() - 1]
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        bits ^= low
+        i = bits.bit_length() - 1
+        u, ubit, v, vbit = pairs[i]
+        rows[u] |= vbit
+        rows[v] |= ubit
+        bits ^= 1 << i
     return Graph(n, tuple(rows))
 
 
 @cache
-def _graph6_pairs(n: int) -> tuple[Edge, ...]:
-    """The (u, v) pair of each bit of an n-vertex graph6 body, indexed from
-    the least significant bit once the padding is shifted out."""
-    return tuple((u, v) for v in range(n - 1, 0, -1) for u in range(v - 1, -1, -1))
+def _graph6_pairs(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The ``(u, 1 << u, v, 1 << v)`` of each bit of an n-vertex graph6 body,
+    indexed from the least significant bit once the padding is shifted out."""
+    return tuple((u, 1 << u, v, 1 << v)
+                 for v in range(n - 1, 0, -1) for u in range(v - 1, -1, -1))

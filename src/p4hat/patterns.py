@@ -38,9 +38,10 @@ class SuspensionWitness(NamedTuple):
 
 
 def _mask_has_path4(adj: Sequence[int], mask: int) -> bool:
-    """True iff the subgraph induced on the masked vertices has a 4-path."""
-    if mask.bit_count() < 4:
-        return False
+    """True iff the subgraph induced on the masked vertices has a 4-path.
+
+    A mask of fewer than 4 vertices holds none; the detectors below skip
+    such rows before calling."""
     m = mask
     while m:
         abit = m & -m
@@ -62,7 +63,8 @@ def _mask_has_path4(adj: Sequence[int], mask: int) -> bool:
 def _rows_contain_suspension(adj: Sequence[int], n: int) -> bool:
     """Boolean fast path shared with the search engine and samplers."""
     for v in range(n):
-        if _mask_has_path4(adj, adj[v]):
+        row = adj[v]
+        if row.bit_count() >= 4 and _mask_has_path4(adj, row):
             return True
     return False
 
@@ -92,9 +94,9 @@ def contains_suspension_p4(g: Graph) -> SuspensionWitness | None:
     4-path, carrying the lexicographically least such path.
     """
     adj = g.adj
-    for v in range(g.n):
-        if _mask_has_path4(adj, adj[v]):
-            path = _lex_least_path4(adj, adj[v])
+    for v, row in enumerate(adj):
+        if row.bit_count() >= 4 and _mask_has_path4(adj, row):
+            path = _lex_least_path4(adj, row)
             assert path is not None
             return SuspensionWitness(apex=v, path=path)
     return None

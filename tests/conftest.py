@@ -10,8 +10,21 @@ from math import comb
 
 import pytest
 
-from p4hat import Graph, encode_graph6, from_edges, pool, union_of_triangles
+from p4hat import (
+    BlockDecomposition,
+    Graph,
+    GraphError,
+    LoopEdgeError,
+    VertexCountError,
+    VertexRangeError,
+    encode_graph6,
+    from_edges,
+    pool,
+    union_of_triangles,
+)
+from p4hat.blocks import Block
 from p4hat.canon import _refined_classes
+from p4hat.graphs import MAX_VERTICES, _bits, triangle_edges
 from p4hat.patterns import _rows_contain_suspension
 from p4hat.search import _row_bits, _scan
 
@@ -85,6 +98,85 @@ def reference_canonical_form(g: Graph) -> bytes:
     return encode_graph6(from_edges(n, [
         (i, j) for i in range(n) for j in range(i + 1, n) if adj[best_perm[i]] >> best_perm[j] & 1
     ]))
+
+
+def reference_validate(n, adj) -> None:
+    """``Graph``'s checks as an ordered scan: the row checks vertex by
+    vertex, then every set bit's mirror.  Oracle for the one-pass check
+    on non-negative rows."""
+    if not isinstance(n, int) or not 1 <= n <= MAX_VERTICES:
+        raise VertexCountError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
+    if len(adj) != n:
+        raise GraphError(f"adjacency has {len(adj)} rows for n={n}")
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row >> v & 1:
+            raise LoopEdgeError(f"loop at vertex {v}")
+        if row & ~full:
+            raise VertexRangeError(f"row {v} has neighbor bits at or above n={n}")
+    for v, row in enumerate(adj):
+        while row:
+            low = row & -row
+            u = low.bit_length() - 1
+            if not adj[u] >> v & 1:
+                raise GraphError(f"adjacency not symmetric at ({u}, {v})")
+            row ^= low
+
+
+def reference_decompose(g: Graph) -> BlockDecomposition:
+    """``decompose`` walking triangles: each edge of a block visits every
+    triangle on it and places the triangle's other two edges, and the block
+    is classified from the triangles collected, its base read as the one
+    edge they all share.  Oracle for the mask-grown walk."""
+    adj = g.adj
+    placed = [0] * g.n
+    blocks = []
+    strays = []
+    for u, ru in enumerate(adj):
+        above = ru >> (u + 1) << (u + 1)
+        while above:
+            low = above & -above
+            above ^= low
+            v = low.bit_length() - 1
+            if not ru & adj[v]:
+                strays.append((u, v))
+            elif not placed[u] & low:
+                placed[u] |= low
+                edges = [(u, v)]
+                tris = []
+                vmask = 1 << u | 1 << v
+                for a, b in edges:
+                    common = adj[a] & adj[b]
+                    vmask |= common
+                    while common:
+                        wbit = common & -common
+                        common ^= wbit
+                        w = wbit.bit_length() - 1
+                        if w > b:
+                            tris.append((a, b, w))
+                        for x, y in ((a, w) if a < w else (w, a), (b, w) if b < w else (w, b)):
+                            if not placed[x] >> y & 1:
+                                placed[x] |= 1 << y
+                                edges.append((x, y))
+                edges.sort()
+                blocks.append(_reference_classify(tuple(_bits(vmask)), tuple(edges), tris))
+    return BlockDecomposition(tuple(blocks), tuple(strays))
+
+
+def _reference_classify(verts, edges, tris) -> Block:
+    t = len(tris)
+    nv, ne = len(verts), len(edges)
+    if nv == 4 and ne == 6 and t == 4:
+        return Block("K4", None, verts, edges, t, None)
+    if t >= 1 and ne == 2 * t + 1 and nv == t + 2:
+        if t == 1:
+            return Block("Book", 1, verts, edges, 1, min(triangle_edges(tris[0])))
+        common = set(triangle_edges(tris[0]))
+        for tri in tris[1:]:
+            common &= set(triangle_edges(tri))
+        if len(common) == 1:
+            return Block("Book", t, verts, edges, t, common.pop())
+    return Block("Other", None, verts, edges, t, None)
 
 
 def attachment_classes(n: int) -> list[tuple[int, ...]]:

@@ -18,12 +18,13 @@ from p4hat import (
     find_k4,
     from_edges,
     is_p4hat_free,
+    sixteen_vertex,
     small_extremal,
     union_of_triangles,
     verify_k4free_bound,
 )
 from p4hat.graphs import triangle_edges
-from conftest import random_graph, sample_p4hat_free
+from conftest import random_graph, reference_decompose, sample_p4hat_free
 
 
 def octahedron():
@@ -31,7 +32,7 @@ def octahedron():
     return from_edges(6, edges)
 
 
-def reference_decompose(g):
+def union_find_decompose(g):
     """Second route to ``decompose``: triangles grouped by shared edges with
     a union-find, each group's edges classified by ``classify_block``."""
     tris = enumerate_triangles(g)
@@ -96,6 +97,15 @@ class TestDecompose:
         rng = random.Random(73)
         for _ in range(2_000):
             g = random_graph(rng, rng.randint(1, 16), rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+            assert decompose(g) == union_find_decompose(g)
+
+    def test_matches_triangle_walk_reference(self):
+        graphs = [book(s) for s in range(1, 9)] + [complete(k) for k in range(4, 9)]
+        graphs += [bipartite_matching(n) for n in range(4, 17)] + [sixteen_vertex()]
+        rng = random.Random(74)
+        graphs += [random_graph(rng, rng.randint(1, 14), rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)))
+                   for _ in range(20_000)]
+        for g in graphs:
             assert decompose(g) == reference_decompose(g)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -263,6 +264,34 @@ class TestStreamWorkers:
             assert build_parser().parse_args(argv).workers == 3
         monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity
         assert build_parser().parse_args(["blocks"]).workers == 64
+
+
+def random_corpus(seed: int, count: int) -> str:
+    """``count`` seeded graph6 lines of random graphs on 1..16 vertices."""
+    rng = random.Random(seed)
+    return "".join(g6(random_graph(rng, rng.randint(1, 16), rng.choice((0.1, 0.3, 0.5, 0.7, 0.9))))
+                   + "\n" for _ in range(count))
+
+
+CORPORA = {"stream": lambda: stream_corpus(17, 3.5), "random": lambda: random_corpus(5, 5_000)}
+
+# sha256 and exit code of each stream command's stdout on each corpus
+GOLDEN = {
+    ("stream", "witness", "json"): (1, "5af3819d1ffd8c452ff39c944a2bdb534bf0abd91174ffc4691e05a3ab41e9d0"),
+    ("stream", "witness", "text"): (1, "1d50f93d368bd782062a619ef466bda04db8c10dc9e2c6022352fbd0ce5b9e1c"),
+    ("stream", "blocks", "json"): (1, "cbeff0816aa134b731de30b034055c18973c9196b885f189d16f2e2dbe3450d6"),
+    ("stream", "blocks", "text"): (1, "3a5df9fbe7c7b0a0b5b887210e55fef0284863ec86906bcb7b3fdbdaa42a6213"),
+    ("random", "witness", "json"): (2, "66958483669dfd3b82e28cf1381794d0e42bd4090ab1db24120af528b79136dd"),
+    ("random", "witness", "text"): (2, "70b0528d70b7d2cd998d4b3d2d7ed98336d257ba7ae986d6896e33a35e8bc9d0"),
+    ("random", "blocks", "json"): (0, "c5da61211dc4e76d79d471a930483f8a74c0c2187e0d57e73515e4e21d5305a4"),
+    ("random", "blocks", "text"): (0, "2a90a21434c3a09ee026f51c372b5ca617549b6db58d79b33fdd6e2e07c30706"),
+}
+
+
+@pytest.mark.parametrize("corpus, command, fmt", sorted(GOLDEN))
+def test_stream_stdout_is_pinned(corpus, command, fmt):
+    code, out, _ = run_cli(command, "--format", fmt, stdin_text=CORPORA[corpus]())
+    assert (code, hashlib.sha256(out).hexdigest()) == GOLDEN[corpus, command, fmt]
 
 
 class TestBrokenPipe:

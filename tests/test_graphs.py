@@ -22,7 +22,7 @@ from p4hat import (
     union_of_triangles,
 )
 from p4hat.graphs import MAX_VERTICES
-from conftest import naive_triangle_count, random_graph
+from conftest import naive_triangle_count, random_graph, reference_validate
 
 
 def cycle(n):
@@ -59,6 +59,49 @@ class TestFromEdges:
             from_edges(0, [])
         with pytest.raises(VertexCountError):
             from_edges(MAX_VERTICES + 1, [])
+
+    def test_bool_vertex_count(self):
+        for flag in (True, False):
+            with pytest.raises(VertexCountError, match=f"got {flag}"):
+                Graph(flag, (0,))
+            with pytest.raises(VertexCountError, match=f"got {flag}"):
+                from_edges(flag, [])
+
+    def test_negative_row_names_the_row(self):
+        with pytest.raises(VertexRangeError, match=r"^row 0 is negative: -1$"):
+            Graph(2, (-1, 0))
+        with pytest.raises(VertexRangeError, match=r"^row 2 is negative: -2$"):
+            Graph(3, (0b10, 0b01, -2))
+
+    def test_validation_matches_ordered_reference(self):
+        """The one-pass check accepts and rejects what the ordered scan
+        does, with the same exception type and message."""
+        def outcome(build, n, rows):
+            try:
+                build(n, rows)
+            except GraphError as exc:
+                return type(exc), str(exc)
+            return None
+
+        rng = random.Random(75)
+        rejected = 0
+        for _ in range(20_000):
+            n = rng.randint(1, 10)
+            p = rng.random()
+            rows = [0] * n
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if rng.random() < p:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                rows[rng.randrange(n)] ^= 1 << rng.randrange(n + 2)  # a loop, a stray or a high bit
+            if rng.random() < 0.02:
+                rows.append(0)
+            expected = outcome(reference_validate, n, tuple(rows))
+            assert outcome(Graph, n, tuple(rows)) == expected, (n, rows)
+            rejected += expected is not None
+        assert 10_000 < rejected < 19_000
 
 
 class TestTriangles:
