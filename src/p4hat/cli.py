@@ -3,9 +3,11 @@
 Data goes to stdout; progress and timing go to stderr so the data stream
 stays pure.  Stdout bytes are identical across repeated runs and across
 worker counts.  The stream commands split their input into ordered chunks
-of ``STREAM_CHUNK`` non-blank lines for the same worker pool the searches
-use and write each chunk's output whole, in input order, so their output
-arrives a chunk at a time.  Exit codes: 0 = verified/exhausted,
+of ``STREAM_CHUNK`` non-blank lines for the same ordered map the searches
+use, which runs chunks in this process until they have taken about as long
+as forking the worker pool costs, and only then forks it for the rest.
+Each chunk's output is written whole, in input order, so output arrives a
+chunk at a time.  Exit codes: 0 = verified/exhausted,
 1 = malformed stream input, 2 = counterexample/violation/witness found,
 64 = usage error, 141 = stdout closed by its reader (128 + SIGPIPE).
 JSON schemas are documented in the README; every single-document payload
@@ -176,7 +178,7 @@ STREAM_CHUNK = 500  # non-blank input lines per unit of work
 
 
 def _cmd_stream(
-    describer: Callable[[], Callable[[Graph], Fields]],
+    describer: Callable[[str], Callable[[Graph], Fields]],
     args: argparse.Namespace,
     out: TextIO,
 ) -> int:
@@ -184,12 +186,13 @@ def _cmd_stream(
     ``args.input``: ``describe(graph)``'s fields, or the decode error.
     ``describe`` also says whether the graph counts as found.
 
-    ``describer()`` returns ``describe`` and imports what it needs, here,
-    before the workers fork, so that no worker imports a module.  The lines
-    go in chunks of ``STREAM_CHUNK`` through ``ordered_map``, and each
-    chunk's output is written whole, in input order."""
+    ``describer(args.format)`` returns ``describe`` and imports what it
+    needs, here, before the workers fork, so that no worker imports a
+    module.  The lines go in chunks of ``STREAM_CHUNK`` through
+    ``ordered_map``, and each chunk's output is written whole, in input
+    order."""
     errors = found = 0
-    describe_chunk = partial(_stream_chunk, describer(), args.format)
+    describe_chunk = partial(_stream_chunk, describer(args.format), args.format)
     with ordered_map(describe_chunk, _chunks(args.input), args.workers) as described:
         for text, messages, chunk_errors, chunk_found in described:
             sys.stderr.write(messages)
@@ -238,34 +241,41 @@ def _stream_chunk(
     return out.getvalue(), err.getvalue(), errors, found
 
 
-def _block_fields() -> Callable[[Graph], Fields]:
+# The JSON encoder writes a tuple as an array, so a JSON line takes the
+# tuples of a result as they are; the text format spells only a list as
+# [0, 1], so a text line copies them into lists.
+
+def _block_fields(fmt: str) -> Callable[[Graph], Fields]:
     from .blocks import decompose
+
+    text = fmt == "text"
 
     def fields(graph: Graph) -> Fields:
         dec = decompose(graph)
-        blocks = [
-            {
-                "kind": b.kind,
-                "pages": b.pages,
-                "vertices": list(b.vertices),
-                "edges": [list(e) for e in b.edges],
-            }
-            for b in dec.blocks
-        ]
-        return {"n": graph.n, "blocks": blocks,
-                "stray_edges": [list(e) for e in dec.stray_edges]}, False
+        blocks = [{"kind": b.kind, "pages": b.pages, "vertices": b.vertices, "edges": b.edges}
+                  for b in dec.blocks]
+        stray_edges = dec.stray_edges
+        if text:
+            for block in blocks:
+                block["vertices"] = list(block["vertices"])
+                block["edges"] = [list(e) for e in block["edges"]]
+            stray_edges = [list(e) for e in stray_edges]
+        return {"n": graph.n, "blocks": blocks, "stray_edges": stray_edges}, False
 
     return fields
 
 
-def _witness_fields() -> Callable[[Graph], Fields]:
+def _witness_fields(fmt: str) -> Callable[[Graph], Fields]:
     from .patterns import contains_suspension_p4
+
+    text = fmt == "text"
 
     def fields(graph: Graph) -> Fields:
         witness = contains_suspension_p4(graph)
         if witness is None:
             return {"status": "p4hat-free"}, False
-        return {"status": "witness", "apex": witness.apex, "path": list(witness.path)}, True
+        path = list(witness.path) if text else witness.path
+        return {"status": "witness", "apex": witness.apex, "path": path}, True
 
     return fields
 

@@ -3,13 +3,17 @@ the streams.
 
 ``ordered_map(fn, items, workers)`` gives ``fn(item)`` for every item, in
 item order, so a caller's output never depends on the worker count.  A map
-that one process can do runs here and forks nothing.  Otherwise the parent
-forks its workers with ``os.fork``; the program starts no threads, so a
-fork copies a consistent interpreter.  A worker inherits ``fn`` through the
-fork, so only items and results cross its two pipes, as length-prefixed
-pickles.  The parent sends an item only to an idle worker, so neither side
-ever blocks on a full pipe while the other waits for it.  Importing this
-module loads neither ``pickle`` nor ``select``: the first fork imports them.
+runs its items here until they have spent ``FORK_BUDGET_S`` in ``fn``, about
+what starting the workers costs, and only then forks for the rest (the
+ski-rental rule: no map pays much more than twice what the better of the
+two choices would have cost it).  So a map that one process finishes
+quickly forks nothing.  The parent forks its workers with ``os.fork``; the
+program starts no threads, so a fork copies a consistent interpreter.  A
+worker inherits ``fn`` through the fork, so only items and results cross
+its two pipes, as length-prefixed pickles.  The parent sends an item only
+to an idle worker, so neither side ever blocks on a full pipe while the
+other waits for it.  Importing this module loads neither ``pickle`` nor
+``select``: the first fork imports them.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from itertools import chain, islice
+from time import perf_counter
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .graphs import GuardError
@@ -25,34 +30,63 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 IN_FLIGHT_PER_PROCESS = 2  # items sent but not yet yielded, per worker process
+# Seconds of ``fn`` a map runs here before it forks: about the pool's fixed
+# cost.  Importing pickle and select, forking the workers with their pipes,
+# one item each and the reap took a median of 10.0 ms for 2 workers and
+# 12.8 ms for 3, in a process that had imported p4hat.search and p4hat.cli
+# (31 fresh interpreters each, 2 vCPUs, Python 3.11.7).
+FORK_BUDGET_S = 0.010
 _HEADER = 8  # bytes of the little-endian length before each pickle
 
 
 @contextmanager
 def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[Iterator[R]]:
-    """Context giving an iterator over ``fn(item)`` for each item, in order.
+    """Context giving a lazy iterator over ``fn(item)`` for each item, in order.
 
-    The first ``workers`` items are read to size the pool: it gets
-    min(workers, items read) processes, and with one process the map runs
-    here, lazily, with the builtin ``map``.  A pool holds at most
+    Items are mapped here, one at a time as they are asked for, until the
+    time spent in ``fn`` reaches ``FORK_BUDGET_S``.  Then the next
+    ``workers`` items are read to size the pool: it gets min(workers, items
+    read) processes, and with one process the map goes on here with the
+    builtin ``map``, so ``workers == 1`` never forks.  A pool holds at most
     ``IN_FLIGHT_PER_PROCESS`` items per process sent but not yet yielded,
     so an endless ``items`` is never read into memory.  An exception raised
-    by ``fn`` is raised here at its item's turn, caused by the worker's
-    traceback text.  Leaving the context early sends no further item; items
-    running finish, and the parent waits for every worker to exit.  Every
-    item and result must pickle.
+    by ``fn`` is raised here at its item's turn; one raised in a worker is
+    caused by the worker's traceback text.  Leaving the context early runs
+    or sends no further item; items running in workers finish, and the
+    parent waits for every worker to exit.  Every item and result sent to a
+    worker must pickle.
     """
     if workers < 1:
         raise GuardError(f"worker count must be >= 1, got {workers}")
-    items = iter(items)
+    results = _mapped(fn, iter(items), workers)
+    try:
+        yield results
+    finally:
+        results.close()
+
+
+def _mapped(fn: Callable[[T], R], items: Iterator[T], workers: int) -> Iterator[R]:
+    """The results of ``ordered_map``: here until the budget is spent, then
+    from a pool when two or more items remain."""
+    spent = 0.0
+    here = 0  # items mapped here so far
+    while spent < FORK_BUDGET_S:
+        item = next(items, _END)
+        if item is _END:
+            return
+        started = perf_counter()
+        result = fn(item)
+        spent += perf_counter() - started
+        here += 1
+        yield result
     ahead = list(islice(items, workers))
     processes = min(workers, len(ahead))
     if processes <= 1:
-        yield map(fn, chain(ahead, items))
+        yield from map(fn, chain(ahead, items))
         return
     pool = _Workers(fn, processes)
     try:
-        yield pool.in_order(chain(ahead, items), IN_FLIGHT_PER_PROCESS * processes)
+        yield from pool.in_order(chain(ahead, items), IN_FLIGHT_PER_PROCESS * processes, here)
     finally:
         pool.close()
 
@@ -110,16 +144,16 @@ class _Workers:
         os.close(result_w)
         self._children.append((pid, task_w, result_r))
 
-    def in_order(self, items: Iterator[Any], window: int) -> Iterator[Any]:
+    def in_order(self, items: Iterator[Any], window: int, start: int) -> Iterator[Any]:
         """``fn(item)`` for each item, in order, with at most ``window`` items
-        sent but not yet yielded."""
+        sent but not yet yielded; the first item is item ``start`` of the map."""
         import select
 
         poll = select.poll()
         idle = list(self._children)
         holding = {}  # result fd -> (child, index of the item it holds)
         done = {}  # index -> (result or exception, traceback text or None)
-        sent = yielded = 0
+        sent = yielded = start
         item = None
         while True:
             while idle and item is not _END and sent - yielded < window:

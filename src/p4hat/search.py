@@ -361,7 +361,7 @@ def counterexample_search(
     identical for every worker count.
     """
     if not 5 <= n <= SEARCH_MAX_VERTICES:
-        raise GuardError(f"counterexample_search supports 5 <= n <= {SEARCH_MAX_VERTICES}")
+        raise GuardError(f"counterexample_search supports 5 <= n <= {SEARCH_MAX_VERTICES}, got {n}")
     if t < 3:
         raise GuardError(f"target triangle count must be >= 3, got {t}")
 
@@ -400,7 +400,7 @@ def certify_upper_bound(n: int, t: int, workers: int = 1) -> CertificateReport:
     ``GuardError``.
     """
     if not 4 <= n <= SEARCH_MAX_VERTICES:
-        raise GuardError(f"certify_upper_bound supports 4 <= n <= {SEARCH_MAX_VERTICES}")
+        raise GuardError(f"certify_upper_bound supports 4 <= n <= {SEARCH_MAX_VERTICES}, got {n}")
     if t <= n * n // 8:
         raise GuardError(f"the K4 route needs t > floor(n^2/8) = {n * n // 8}, got {t}")
     scans = _k4_seeds(n, t)
@@ -422,7 +422,7 @@ def exhaustive_oracle(n: int) -> tuple[int, list[Graph]]:
     canonical form.
     """
     if not 1 <= n <= EXHAUSTIVE_MAX_VERTICES:
-        raise GuardError(f"exhaustive_oracle supports n <= {EXHAUSTIVE_MAX_VERTICES}, got {n}")
+        raise GuardError(f"exhaustive_oracle supports 1 <= n <= {EXHAUSTIVE_MAX_VERTICES}, got {n}")
     edges = list(combinations(range(n), 2))
     rows = [0] * n
     t = best = 0
@@ -453,7 +453,7 @@ def enumerate_extremal_configs(n: int, ex_value: int, workers: int = 1) -> list[
     Mantel argument of the module docstring's "Configurations".
     """
     if not 5 <= n <= EXTREMAL_MAX_VERTICES:
-        raise GuardError(f"config enumeration supports 5 <= n <= {EXTREMAL_MAX_VERTICES}")
+        raise GuardError(f"config enumeration supports 5 <= n <= {EXTREMAL_MAX_VERTICES}, got {n}")
     if 2 * ex_value < n * n // 4:
         raise GuardError(f"config enumeration needs 2 * ex_value >= {n * n // 4}, got {ex_value}")
 
@@ -486,7 +486,7 @@ def extremal_value(n: int, workers: int = 1) -> tuple[int, list[Graph]]:
     a perfect matching of an even part: at n = 8, ``bipartite_matching(8)``.
     """
     if not 1 <= n <= EXTREMAL_MAX_VERTICES:
-        raise GuardError(f"extremal_value supports n <= {EXTREMAL_MAX_VERTICES}, got {n}")
+        raise GuardError(f"extremal_value supports 1 <= n <= {EXTREMAL_MAX_VERTICES}, got {n}")
     if workers < 1:
         raise GuardError(f"worker count must be >= 1, got {workers}")
     if n <= EXHAUSTIVE_MAX_VERTICES:

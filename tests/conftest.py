@@ -269,7 +269,9 @@ def run_cli(*args: str, stdin_text: str | None = None) -> tuple[int, bytes, str]
 def pool_sizes(monkeypatch) -> list[int]:
     """Replace the pool's forked workers with a stand-in that starts no
     process: it maps each item here, in order, and records the process count
-    every pool asks for in the returned list."""
+    every pool asks for in the returned list.  The fork budget is 0, so
+    every map of more than one item with more than one worker asks for a
+    pool at once."""
     requested: list[int] = []
 
     class InProcessWorkers:
@@ -277,11 +279,12 @@ def pool_sizes(monkeypatch) -> list[int]:
             requested.append(processes)
             self.fn = fn
 
-        def in_order(self, items, window):
+        def in_order(self, items, window, start):
             return map(self.fn, items)
 
         def close(self):
             pass
 
     monkeypatch.setattr(pool, "_Workers", InProcessWorkers)
+    monkeypatch.setattr(pool, "FORK_BUDGET_S", 0)
     return requested

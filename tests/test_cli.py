@@ -473,6 +473,20 @@ class TestStartup:
         assert "p4hat.search" in loaded
         assert loaded.isdisjoint({"p4hat.blocks", "p4hat.bounds", "dataclasses"})
 
+    def test_extremal_n8_forks_no_pool(self):
+        # its scans take about 1 ms in all, inside the pool's fork budget
+        loaded = self.loaded_modules("-m", "p4hat", "extremal", "--n", "8", "--workers", "2")
+        assert loaded.isdisjoint({"pickle", "select"})
+
+    def test_a_stream_forks_once_its_first_chunk_spends_the_budget(self, tmp_path):
+        # the first chunk takes tens of milliseconds; two more chunks follow
+        source = tmp_path / "in.g6"
+        source.write_text((g6(book(20)) + "\n") * STREAM_CHUNK
+                          + (g6(book(1)) + "\n") * (STREAM_CHUNK + 1))
+        loaded = self.loaded_modules("-m", "p4hat", "blocks", "--input", str(source),
+                                     "--output", str(tmp_path / "out"), "--workers", "2")
+        assert {"pickle", "select"} <= loaded
+
     @pytest.mark.parametrize("command, module", [("witness", "p4hat.patterns"),
                                                  ("blocks", "p4hat.blocks")])
     def test_stream_imports_before_the_pool_forks(self, tmp_path, command, module):

@@ -2,11 +2,38 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
-from p4hat import GuardError
+from p4hat import GuardError, pool
 from p4hat.pool import IN_FLIGHT_PER_PROCESS, WorkerTraceback, ordered_map
+
+
+@pytest.fixture
+def forked(monkeypatch) -> list[int]:
+    """The pid of every worker the pool forks, as it forks them."""
+    forked: list[int] = []
+    fork = os.fork
+
+    def recorded_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return forked
+
+
+@pytest.fixture
+def no_fork(monkeypatch) -> None:
+    """A budget no test map spends, and a fork that fails the test."""
+    def fork():
+        raise AssertionError("a map inside the fork budget forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(pool, "FORK_BUDGET_S", 3600)
 
 
 class TestOrderedMap:
@@ -39,12 +66,50 @@ class TestOrderedMap:
                 with ordered_map(str, range(3), workers):
                     pass
 
+    def test_a_map_inside_the_budget_forks_nothing(self, no_fork):
+        pulled = []
+        items = (pulled.append(i) or i for i in range(10))
+        with ordered_map(str, items, 4) as results:
+            assert next(results) == "0"
+            assert pulled == [0]
+            assert list(results) == [str(i) for i in range(1, 10)]
+
+    def test_leaving_inside_the_budget_forks_nothing(self, no_fork):
+        pulled = []
+        items = (pulled.append(i) or i for i in range(1000))
+        with ordered_map(str, items, 4) as results:
+            assert next(results) == "0"
+        assert pulled == [0]
+
+    @pytest.mark.parametrize("count, processes", [(2, 0), (3, 2), (9, 4)])
+    def test_a_map_forks_once_an_item_outruns_the_budget(self, monkeypatch, forked,
+                                                          count, processes):
+        # item 0 spends the budget here; the pool is sized from the rest
+        monkeypatch.setattr(pool, "FORK_BUDGET_S", 0.001)
+        parent = os.getpid()
+
+        def slow_first(i):
+            if i == 0:
+                time.sleep(0.002)
+            return str(i), os.getpid()
+
+        with ordered_map(slow_first, range(count), 4) as results:
+            mapped = list(results)
+        assert [result for result, _ in mapped] == [str(i) for i in range(count)]
+        assert mapped[0][1] == parent
+        assert len(forked) == processes
+        assert {pid for _, pid in mapped[1:]} == (set(forked) or {parent})
+
 
 def run_python(code: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
 
 
 class TestForkedWorkers:
+    @pytest.fixture(autouse=True)
+    def fork_at_once(self, monkeypatch):
+        monkeypatch.setattr(pool, "FORK_BUDGET_S", 0)
+
     def test_fn_exception_reaches_the_caller(self):
         def guarded(i):
             if i == 7:
@@ -61,7 +126,9 @@ class TestForkedWorkers:
     def test_dead_worker_raises_a_named_error(self):
         proc = run_python(
             "import os\n"
+            "import p4hat.pool\n"
             "from p4hat.pool import ordered_map\n"
+            "p4hat.pool.FORK_BUDGET_S = 0\n"
             "def dies_at_5(i):\n"
             "    if i == 5:\n"
             "        os._exit(3)\n"
@@ -75,18 +142,24 @@ class TestForkedWorkers:
         assert re.fullmatch(r"RuntimeError: pool worker \d+ exited with code 3 "
                             r"before returning item 5", last), last
 
+    def test_a_dead_worker_names_its_item_in_the_map(self, monkeypatch):
+        # item 0 runs here, so the pool's first item is item 1 of the map
+        monkeypatch.setattr(pool, "FORK_BUDGET_S", 0.001)
+        parent = os.getpid()
+
+        def dies_at_5(i):
+            if i == 0:
+                time.sleep(0.002)
+            if i == 5 and os.getpid() != parent:
+                os._exit(3)
+            return i
+
+        with pytest.raises(RuntimeError, match=r"exited with code 3 before returning item 5$"):
+            with ordered_map(dies_at_5, range(20), 2) as results:
+                list(results)
+
     @pytest.mark.parametrize("read", [1, 40])
-    def test_leaving_early_reaps_every_worker(self, monkeypatch, read):
-        forked = []
-        fork = os.fork
-
-        def recorded_fork():
-            pid = fork()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", recorded_fork)
+    def test_leaving_early_reaps_every_worker(self, forked, read):
         pulled = 0
 
         def counted():
@@ -107,7 +180,9 @@ class TestForkedWorkers:
     def test_unflushed_parent_stdout_is_written_once(self):
         proc = run_python(
             "import sys\n"
+            "import p4hat.pool\n"
             "from p4hat.pool import ordered_map\n"
+            "p4hat.pool.FORK_BUDGET_S = 0\n"
             "sys.stdout.write('x')\n"
             "with ordered_map(abs, range(10), 2) as results:\n"
             "    assert list(results) == list(range(10))\n"

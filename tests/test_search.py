@@ -30,7 +30,16 @@ from p4hat import (
     union_of_triangles,
 )
 from p4hat import search
-from p4hat.search import _k4_seeds, _pair_seed, _row_bits, _scan, _scan_seeds
+from p4hat.search import (
+    EXHAUSTIVE_MAX_VERTICES,
+    EXTREMAL_MAX_VERTICES,
+    SEARCH_MAX_VERTICES,
+    _k4_seeds,
+    _pair_seed,
+    _row_bits,
+    _scan,
+    _scan_seeds,
+)
 
 from conftest import class_route_hits
 
@@ -488,3 +497,19 @@ class TestExtremal:
             with pytest.raises(GuardError):
                 enumerate_extremal_configs(n, ex_value)
         enumerate_extremal_configs(7, 6)  # equality case, 2 * 6 == floor(49/4)
+
+
+# each size guard names the range it supports and the n it rejected
+@pytest.mark.parametrize("call, message, low, high", [
+    (lambda n: counterexample_search(n, 9), "counterexample_search", 5, SEARCH_MAX_VERTICES),
+    (lambda n: certify_upper_bound(n, 99), "certify_upper_bound", 4, SEARCH_MAX_VERTICES),
+    (exhaustive_oracle, "exhaustive_oracle", 1, EXHAUSTIVE_MAX_VERTICES),
+    (lambda n: enumerate_extremal_configs(n, 99), "config enumeration", 5, EXTREMAL_MAX_VERTICES),
+    (extremal_value, "extremal_value", 1, EXTREMAL_MAX_VERTICES),
+], ids=["counterexample_search", "certify_upper_bound", "exhaustive_oracle",
+        "enumerate_extremal_configs", "extremal_value"])
+@pytest.mark.parametrize("case", [0, -1, "max+1"])
+def test_size_guard_names_range_and_value(call, message, low, high, case):
+    n = high + 1 if case == "max+1" else case
+    with pytest.raises(GuardError, match=rf"^{message} supports {low} <= n <= {high}, got {n}$"):
+        call(n)
