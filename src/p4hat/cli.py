@@ -78,10 +78,20 @@ _encode_line = json.JSONEncoder(separators=(", ", ": "), check_circular=False).e
 def _emit_line(doc: dict[str, Any], fmt: str, out: TextIO) -> None:
     if fmt == "json":
         out.write(_encode_line(doc))
-        out.write("\n")
     else:
-        out.write("  ".join(f"{k}={v}" for k, v in doc.items()))
-        out.write("\n")
+        out.write("  ".join(f"{k}={_listed(v)}" for k, v in doc.items()))
+    out.write("\n")
+
+
+def _listed(value: Any) -> Any:
+    """``value`` with every tuple copied into a list.  The JSON encoder
+    writes a tuple as an array, so a JSON line takes a result's tuples as
+    they are; the text format spells only a list as [0, 1]."""
+    if isinstance(value, (tuple, list)):
+        return [_listed(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _listed(v) for k, v in value.items()}
+    return value
 
 
 def _search(args: argparse.Namespace) -> Fields:
@@ -178,7 +188,7 @@ STREAM_CHUNK = 500  # non-blank input lines per unit of work
 
 
 def _cmd_stream(
-    describer: Callable[[str], Callable[[Graph], Fields]],
+    describer: Callable[[], Callable[[Graph], Fields]],
     args: argparse.Namespace,
     out: TextIO,
 ) -> int:
@@ -186,13 +196,12 @@ def _cmd_stream(
     ``args.input``: ``describe(graph)``'s fields, or the decode error.
     ``describe`` also says whether the graph counts as found.
 
-    ``describer(args.format)`` returns ``describe`` and imports what it
-    needs, here, before the workers fork, so that no worker imports a
-    module.  The lines go in chunks of ``STREAM_CHUNK`` through
-    ``ordered_map``, and each chunk's output is written whole, in input
-    order."""
+    ``describer()`` returns ``describe`` and imports what it needs, here,
+    before the workers fork, so that no worker imports a module.  The lines
+    go in chunks of ``STREAM_CHUNK`` through ``ordered_map``, and each
+    chunk's output is written whole, in input order."""
     errors = found = 0
-    describe_chunk = partial(_stream_chunk, describer(args.format), args.format)
+    describe_chunk = partial(_stream_chunk, describer(), args.format)
     with ordered_map(describe_chunk, _chunks(args.input), args.workers) as described:
         for text, messages, chunk_errors, chunk_found in described:
             sys.stderr.write(messages)
@@ -241,41 +250,26 @@ def _stream_chunk(
     return out.getvalue(), err.getvalue(), errors, found
 
 
-# The JSON encoder writes a tuple as an array, so a JSON line takes the
-# tuples of a result as they are; the text format spells only a list as
-# [0, 1], so a text line copies them into lists.
-
-def _block_fields(fmt: str) -> Callable[[Graph], Fields]:
+def _block_fields() -> Callable[[Graph], Fields]:
     from .blocks import decompose
-
-    text = fmt == "text"
 
     def fields(graph: Graph) -> Fields:
         dec = decompose(graph)
         blocks = [{"kind": b.kind, "pages": b.pages, "vertices": b.vertices, "edges": b.edges}
                   for b in dec.blocks]
-        stray_edges = dec.stray_edges
-        if text:
-            for block in blocks:
-                block["vertices"] = list(block["vertices"])
-                block["edges"] = [list(e) for e in block["edges"]]
-            stray_edges = [list(e) for e in stray_edges]
-        return {"n": graph.n, "blocks": blocks, "stray_edges": stray_edges}, False
+        return {"n": graph.n, "blocks": blocks, "stray_edges": dec.stray_edges}, False
 
     return fields
 
 
-def _witness_fields(fmt: str) -> Callable[[Graph], Fields]:
+def _witness_fields() -> Callable[[Graph], Fields]:
     from .patterns import contains_suspension_p4
-
-    text = fmt == "text"
 
     def fields(graph: Graph) -> Fields:
         witness = contains_suspension_p4(graph)
         if witness is None:
             return {"status": "p4hat-free"}, False
-        path = list(witness.path) if text else witness.path
-        return {"status": "witness", "apex": witness.apex, "path": path}, True
+        return {"status": "witness", "apex": witness.apex, "path": witness.path}, True
 
     return fields
 

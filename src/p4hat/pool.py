@@ -36,6 +36,10 @@ IN_FLIGHT_PER_PROCESS = 2  # items sent but not yet yielded, per worker process
 # 12.8 ms for 3, in a process that had imported p4hat.search and p4hat.cli
 # (31 fresh interpreters each, 2 vCPUs, Python 3.11.7).
 FORK_BUDGET_S = 0.010
+# The most workers a map may ask for.  The parent holds two pipe ends per
+# worker, and 1024 open files is a common soft limit; reading ahead to size
+# the pool also holds up to this many items.
+MAX_WORKERS = 256
 _HEADER = 8  # bytes of the little-endian length before each pickle
 
 
@@ -47,22 +51,30 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Itera
     time spent in ``fn`` reaches ``FORK_BUDGET_S``.  Then the next
     ``workers`` items are read to size the pool: it gets min(workers, items
     read) processes, and with one process the map goes on here with the
-    builtin ``map``, so ``workers == 1`` never forks.  A pool holds at most
-    ``IN_FLIGHT_PER_PROCESS`` items per process sent but not yet yielded,
-    so an endless ``items`` is never read into memory.  An exception raised
-    by ``fn`` is raised here at its item's turn; one raised in a worker is
-    caused by the worker's traceback text.  Leaving the context early runs
-    or sends no further item; items running in workers finish, and the
-    parent waits for every worker to exit.  Every item and result sent to a
-    worker must pickle.
+    builtin ``map``, so ``workers == 1`` never forks.  A worker count
+    outside 1..``MAX_WORKERS`` raises ``GuardError`` on entry, before any
+    item is read.  A pool holds at most ``IN_FLIGHT_PER_PROCESS`` items per
+    process sent but not yet yielded, so an endless ``items`` is never read
+    into memory.  An exception raised by ``fn`` is raised here at its item's
+    turn; one raised in a worker is caused by the worker's traceback text.
+    Leaving the context early runs or sends no further item; items running
+    in workers finish, and the parent waits for every worker to exit.  Every
+    item and result sent to a worker must pickle.
     """
-    if workers < 1:
-        raise GuardError(f"worker count must be >= 1, got {workers}")
+    check_workers(workers)
     results = _mapped(fn, iter(items), workers)
     try:
         yield results
     finally:
         results.close()
+
+
+def check_workers(workers: int) -> None:
+    """Raise ``GuardError`` unless 1 <= workers <= ``MAX_WORKERS``."""
+    if workers < 1:
+        raise GuardError(f"worker count must be >= 1, got {workers}")
+    if workers > MAX_WORKERS:
+        raise GuardError(f"worker count must be <= {MAX_WORKERS}, got {workers}")
 
 
 def _mapped(fn: Callable[[T], R], items: Iterator[T], workers: int) -> Iterator[R]:

@@ -9,9 +9,9 @@ every subset certifies that none exists.
 
 The K4 route
 ------------
-``certify_upper_bound`` and ``extremal_value`` at n = 8 seed the scan with
-a K4 on S = {0, 1, 2, 3} and every triangle through it.  Two facts and four
-steps make that sound.
+``certify_upper_bound`` and ``enumerate_extremal_configs`` seed the scan
+with a K4 on S = {0, 1, 2, 3} and every triangle through it.  Two facts and
+four steps make that sound.
 
 (a) A p4hat-free graph G with t(G) > floor(n^2/8) contains a K4.  First,
     every triangle block of a p4hat-free graph is a K4 or a book.  A block
@@ -59,15 +59,15 @@ t = 9 it visits 10 nodes over 7 seeds.
 
 The pair route
 --------------
-``counterexample_search`` and ``enumerate_extremal_configs`` fix two
-triangles sharing an edge as 012, 013 instead.  By (a) a graph with
-t > floor(n^2/8) triangles has two that share an edge.  Triangles that
-force the pattern next to the fixed pair, those with an edge in
-{02, 03, 12, 13} and a vertex outside {0,1,2,3}, are dropped from the
-candidates (16 of the 56 triples for n = 8, leaving 38), and the scan takes
-(t-2)-subsets.  At n = 8, t = 9 it visits 19,921 nodes instead of testing
-12,620,256 leaves, and ``graphs_examined`` counts the colex ranks covered,
-pruned subtrees included, so an exhausted scan accounts for every subset.
+``counterexample_search`` fixes two triangles sharing an edge as 012, 013
+instead.  By (a) a graph with t > floor(n^2/8) triangles has two that
+share an edge.  Triangles that force the pattern next to the fixed pair,
+those with an edge in {02, 03, 12, 13} and a vertex outside {0,1,2,3}, are
+dropped from the candidates (16 of the 56 triples for n = 8, leaving 38),
+and the scan takes (t-2)-subsets.  At n = 8, t = 9 it visits 19,921 nodes
+instead of testing 12,620,256 leaves, and ``graphs_examined`` counts the
+colex ranks covered, pruned subtrees included, so an exhausted scan
+accounts for every subset.
 
 The kernel
 ----------
@@ -86,17 +86,19 @@ whose union already contains it.
 
 Configurations
 --------------
-The same scan in "collect" mode, filtered to unions with exactly
-t = ex(n) triangles, enumerates every extremal configuration the seed
-covers: an edge-minimal graph is the union of its triangles.  The pair
-route covers every configuration with two triangles sharing an edge, and
-there is no other once 2t >= floor(n^2/4): dropping one edge from each of t
-pairwise edge-disjoint triangles leaves a triangle-free graph with >= 2t
-edges, which Mantel caps at floor(n^2/4), with equality only for
-K_{floor(n/2),ceil(n/2)}, where a dropped edge lies in floor(n/2) >= 2
-triangles.  The K4 route covers every configuration with a K4, and when
-2t = floor(n^2/4) the K4-free one is forced (see ``extremal_value``).  An
-oracle over all labeled graphs covers n <= 7.
+A configuration with t triangles is an edge-minimal p4hat-free graph, the
+union of its triangles.  One with a K4 is the union of the seed and the k
+triangles in G - S of steps 1-4, which need the K4 but no bound on t, so
+the K4 route's scan in "collect" mode, filtered to unions with exactly t
+triangles, yields every one.  By (a) a K4-free one has 2t <= floor(n^2/4).
+At equality it is forced: deleting the bases of its books leaves a
+triangle-free graph with 2t edges, which Mantel's equality case makes
+K_{floor(n/2),ceil(n/2)}.  Each base lies inside a part, with a page
+through every vertex of the other part.  Bases in both parts would span a
+K4, and two bases sharing a vertex give the pattern, so the bases are a
+matching of one part, and t pages force a perfect matching of an even
+part: ``bipartite_matching(n)``.  An oracle over all labeled graphs covers
+n <= 7.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ from .graphs import (
     union_of_triangles,
 )
 from .patterns import _rows_contain_suspension
-from .pool import ordered_map
+from .pool import check_workers, ordered_map
 
 FIXED_TRIANGLES: tuple[Triangle, Triangle] = ((0, 1, 2), (0, 1, 3))
 SEARCH_MAX_VERTICES = 10
@@ -444,13 +446,14 @@ def exhaustive_oracle(n: int) -> tuple[int, list[Graph]]:
 
 
 def enumerate_extremal_configs(n: int, ex_value: int, workers: int = 1) -> list[Graph]:
-    """All extremal configurations with exactly ``ex_value`` triangles.
+    """All configurations with exactly ``ex_value`` triangles: edge-minimal,
+    deduplicated by canonical form, and sorted.
 
-    Every configuration with two triangles sharing an edge comes from the
-    seeded subset scan, filtered to exactly ``ex_value`` triangles; the
-    result is edge-minimal, deduplicated by canonical form, and sorted.
-    The guard 2 * ex_value >= floor(n^2/4) leaves no other kind, by the
-    Mantel argument of the module docstring's "Configurations".
+    The K4 route's collect scan gives every one with a K4.  The guard
+    2 * ex_value >= floor(n^2/4) leaves at most one without, and only at
+    equality: ``bipartite_matching(n)``, added once its triangle count and
+    freedom from the pattern are checked (module docstring,
+    "Configurations").
     """
     if not 5 <= n <= EXTREMAL_MAX_VERTICES:
         raise GuardError(f"config enumeration supports 5 <= n <= {EXTREMAL_MAX_VERTICES}, got {n}")
@@ -458,56 +461,38 @@ def enumerate_extremal_configs(n: int, ex_value: int, workers: int = 1) -> list[
         raise GuardError(f"config enumeration needs 2 * ex_value >= {n * n // 4}, got {ex_value}")
 
     forms: set[bytes] = set()
-    [(_, _, hits)] = _scan_seeds([_pair_seed(n, ex_value)], False, workers)
-    for _, rows in hits:
-        graph = Graph(n, rows)
-        if count_triangles(graph) == ex_value:
-            forms.add(canonical_form(graph))
+    if 2 * ex_value == n * n // 4:
+        forced = bipartite_matching(n)
+        if count_triangles(forced) != ex_value or _rows_contain_suspension(forced.adj, n):
+            raise AssertionError("the forced K4-free configuration failed verification")
+        forms.add(canonical_form(forced))
+    for _, _, hits in _scan_seeds(_k4_seeds(n, ex_value), False, workers):
+        for _, rows in hits:
+            graph = Graph(n, rows)
+            if count_triangles(graph) == ex_value:
+                forms.add(canonical_form(graph))
     return [decode_graph6(f) for f in sorted(forms)]
 
 
 def extremal_value(n: int, workers: int = 1) -> tuple[int, list[Graph]]:
     """ex(n) and all edge-minimal extremal configurations up to isomorphism.
 
-    n <= 7 delegates to the exhaustive oracle.  n = 8 sends the K4 route's
-    units for t = floor(n^2/8) + 1 and t = floor(n^2/8) through one
-    ``ordered_map``: the first must exhaust, which certifies the upper
-    bound, and the second's unions with exactly that many triangles are the
-    configurations that contain a K4.  The bipartite-plus-matching
-    construction realizes the lower bound and is the K4-free configuration.
-
-    It is the only one when 2t = floor(n^2/4), for t = floor(n^2/8).  An
-    edge-minimal K4-free p4hat-free graph is the union of its book blocks,
-    so deleting the bases leaves a triangle-free graph with 2t edges, which
-    Mantel's equality case makes K_{floor(n/2),ceil(n/2)}.  Each base lies
-    inside a part, with a page through every vertex of the other part.
-    Bases in both parts would span a K4, and two bases sharing a vertex give
-    the pattern, so the bases are a matching of one part, and t pages force
-    a perfect matching of an even part: at n = 8, ``bipartite_matching(8)``.
+    n <= 7 delegates to the exhaustive oracle.  n = 8 takes b = floor(n^2/8):
+    ``certify_upper_bound(n, b + 1)`` must exhaust, so ex(n) <= b, and the
+    configurations are ``enumerate_extremal_configs(n, b)``, which must not
+    be empty, so ex(n) = b.
     """
     if not 1 <= n <= EXTREMAL_MAX_VERTICES:
         raise GuardError(f"extremal_value supports 1 <= n <= {EXTREMAL_MAX_VERTICES}, got {n}")
-    if workers < 1:
-        raise GuardError(f"worker count must be >= 1, got {workers}")
+    check_workers(workers)
     if n <= EXHAUSTIVE_MAX_VERTICES:
         return exhaustive_oracle(n)
 
     bound = n * n // 8
-    upper = _k4_seeds(n, bound + 1)
-    results = _scan_seeds(upper + _k4_seeds(n, bound), False, workers)
-    if any(hits for _, _, hits in results[:len(upper)]):
+    if certify_upper_bound(n, bound + 1, workers).outcome != "exhausted":
         raise AssertionError(f"upper-bound scan for n={n} found a p4hat-free union "
                              f"with {bound + 1} triangles")
-    witness = bipartite_matching(n)
-    if count_triangles(witness) != bound or _rows_contain_suspension(witness.adj, n):
-        raise AssertionError("lower-bound construction failed verification")
-    if 2 * bound != n * n // 4:
-        raise AssertionError(f"n={n} is not Mantel's equality case; the K4-free "
-                             "configurations are not forced")
-    forms = {canonical_form(witness)}
-    for _, _, hits in results[len(upper):]:
-        for _, rows in hits:
-            graph = Graph(n, rows)
-            if count_triangles(graph) == bound:
-                forms.add(canonical_form(graph))
-    return bound, [decode_graph6(f) for f in sorted(forms)]
+    configs = enumerate_extremal_configs(n, bound, workers)
+    if not configs:
+        raise AssertionError(f"no configuration at n={n} has {bound} triangles")
+    return bound, configs

@@ -11,6 +11,7 @@ import pytest
 import p4hat
 from p4hat import book, complete, encode_graph6, sixteen_vertex
 from p4hat.cli import STREAM_CHUNK, build_parser, main
+from p4hat.pool import MAX_WORKERS
 from conftest import random_graph, run_cli
 
 
@@ -256,6 +257,18 @@ class TestStreamWorkers:
             assert code == 64
             assert out == b""
             assert err == f"p4hat {command}: worker count must be >= 1, got {workers}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["blocks"], ["witness"], ["search", "--n", "8", "--t", "9"],
+        ["extremal", "--n", "5"], ["extremal", "--n", "8"],
+    ], ids=["blocks", "witness", "search", "extremal-oracle", "extremal-n8"])
+    def test_worker_cap(self, argv):
+        # the cap is checked before any input line is read or any worker forks
+        code, out, err = run_cli(*argv, "--workers", str(MAX_WORKERS + 1),
+                                 stdin_text=g6(book(2)) + "\n")
+        assert (code, out) == (64, b"")
+        assert err == (f"p4hat {argv[0]}: worker count must be <= {MAX_WORKERS}, "
+                       f"got {MAX_WORKERS + 1}\n")
 
     def test_default_follows_cpu_affinity(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from p4hat import GuardError, pool
-from p4hat.pool import IN_FLIGHT_PER_PROCESS, WorkerTraceback, ordered_map
+from p4hat.pool import IN_FLIGHT_PER_PROCESS, MAX_WORKERS, WorkerTraceback, ordered_map
 
 
 @pytest.fixture
@@ -65,6 +65,19 @@ class TestOrderedMap:
             with pytest.raises(GuardError):
                 with ordered_map(str, range(3), workers):
                     pass
+
+    def test_worker_cap_raises_before_any_item_is_read(self, pool_sizes):
+        pulled = []
+        items = (pulled.append(i) or i for i in range(1000))
+        with pytest.raises(GuardError, match=f"^worker count must be <= {MAX_WORKERS}, "
+                                             f"got {MAX_WORKERS + 1}$"):
+            with ordered_map(str, items, MAX_WORKERS + 1):
+                pass
+        assert pulled == [] and pool_sizes == []
+        # the cap itself is allowed; the stand-in pool starts no process
+        with ordered_map(str, range(3), MAX_WORKERS) as results:
+            assert list(results) == ["0", "1", "2"]
+        assert pool_sizes == [3]
 
     def test_a_map_inside_the_budget_forks_nothing(self, no_fork):
         pulled = []

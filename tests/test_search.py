@@ -30,6 +30,7 @@ from p4hat import (
     union_of_triangles,
 )
 from p4hat import search
+from p4hat.pool import MAX_WORKERS
 from p4hat.search import (
     EXHAUSTIVE_MAX_VERTICES,
     EXTREMAL_MAX_VERTICES,
@@ -283,10 +284,13 @@ class TestCounterexampleSearch:
         counterexample_search(5, 6, workers=8)  # 1 subtree: no pool
         counterexample_search(7, 9, workers=1)  # 15 subtrees, one worker: no pool
         counterexample_search(7, 9, workers=64)
-        enumerate_extremal_configs(7, 8, workers=3)  # 16 subtrees
+        enumerate_extremal_configs(7, 8, workers=3)  # 1 subtree: no pool
+        enumerate_extremal_configs(8, 8, workers=3)  # 11 subtrees
         extremal_value(8, workers=1)
-        extremal_value(8, workers=2)  # the t = 9 and t = 8 units share one pool
-        assert pool_sizes == [2, 15, 3, 2]
+        # two maps, each with its own pool: the t = 9 scan's 6 subtrees, then
+        # the t = 8 collect scan's 11
+        extremal_value(8, workers=2)
+        assert pool_sizes == [2, 15, 3, 2, 2]
 
     def test_visited_unions_carry_at_least_t_triangles(self):
         rng = random.Random(83)
@@ -304,8 +308,9 @@ class TestCounterexampleSearch:
             counterexample_search(11, 9)
         with pytest.raises(GuardError):
             counterexample_search(8, 2)
-        with pytest.raises(GuardError):
-            counterexample_search(8, 9, workers=0)
+        for workers in (0, MAX_WORKERS + 1):
+            with pytest.raises(GuardError):
+                counterexample_search(8, 9, workers=workers)
 
 
 class TestCertifyUpperBound:
@@ -428,8 +433,9 @@ class TestCertifyUpperBound:
             certify_upper_bound(3, 5)
         with pytest.raises(GuardError):
             certify_upper_bound(11, 16)
-        with pytest.raises(GuardError):
-            certify_upper_bound(8, 9, workers=0)
+        for workers in (0, MAX_WORKERS + 1):
+            with pytest.raises(GuardError):
+                certify_upper_bound(8, 9, workers=workers)
 
 
 class TestOracle:
@@ -455,16 +461,24 @@ class TestOracle:
             exhaustive_oracle(8)
 
 
+# every (n, t) that config enumeration accepts, up to one past ex(n):
+# ceil(floor(n^2/4) / 2) <= t <= ex(n) + 1, eleven pairs
+CONFIG_CASES = [(n, t) for n, ex in {**SMALL_EX, 8: 8}.items()
+                for t in range(-(-(n * n // 4) // 2), ex + 2)]
+
+
 class TestExtremal:
-    def test_pipeline_matches_oracle(self):
-        # completeness anchor: the collect scan agrees with the full
-        # enumeration oracle wherever both run
-        for n in (5, 6, 7):
-            value, oracle_configs = exhaustive_oracle(n)
-            pipeline = enumerate_extremal_configs(n, value)
-            assert [canonical_form(g) for g in pipeline] == [
-                canonical_form(g) for g in oracle_configs
-            ]
+    @pytest.mark.parametrize("n, t", CONFIG_CASES)
+    def test_configs_match_pair_route(self, n, t):
+        # completeness anchor: the K4 route plus the Mantel-forced K4-free
+        # configuration against the pair route's collect scan, and against
+        # the full enumeration oracle wherever it runs
+        configs = [canonical_form(g) for g in enumerate_extremal_configs(n, t)]
+        [(_, _, hits)] = _scan_seeds([_pair_seed(n, t)], False, 1)
+        unions = [Graph(n, rows) for _, rows in hits]
+        assert configs == sorted({canonical_form(g) for g in unions if count_triangles(g) == t})
+        if n <= EXHAUSTIVE_MAX_VERTICES and t == SMALL_EX[n]:
+            assert configs == [canonical_form(g) for g in exhaustive_oracle(n)[1]]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_n8_configs(self, workers):
@@ -472,14 +486,6 @@ class TestExtremal:
         assert value == 8
         assert [canonical_form(g).decode() for g in configs] == [
             "G?~vno", "G@LAJ{", "GJ]CKK"
-        ]
-
-    def test_n8_configs_match_pair_route(self):
-        # the K4 route plus the Mantel-forced K4-free configuration against
-        # the pair route's collect scan
-        _, configs = extremal_value(8)
-        assert [canonical_form(g) for g in configs] == [
-            canonical_form(g) for g in enumerate_extremal_configs(8, 8)
         ]
 
     def test_extremal_value_small(self):
@@ -490,9 +496,12 @@ class TestExtremal:
     def test_guards(self):
         with pytest.raises(GuardError):
             extremal_value(9)
-        with pytest.raises(GuardError):
-            extremal_value(8, workers=0)
-        # 2 * ex_value < floor(n^2/4): a config could be an edge-disjoint packing
+        # n <= 7 runs no map, so extremal_value guards the count itself
+        for n in (5, 8):
+            for workers in (0, MAX_WORKERS + 1):
+                with pytest.raises(GuardError, match="^worker count must be"):
+                    extremal_value(n, workers=workers)
+        # 2 * ex_value < floor(n^2/4): a K4-free config need not be forced
         for n, ex_value in ((8, 7), (6, 4)):
             with pytest.raises(GuardError):
                 enumerate_extremal_configs(n, ex_value)
