@@ -24,7 +24,8 @@ import os
 import sys
 import time
 from functools import partial
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from itertools import islice
+from typing import Any, Callable, TextIO
 
 from .constructions import FAMILIES
 from .graphs import (
@@ -36,7 +37,6 @@ from .graphs import (
     decode_graph6,
     encode_graph6,
 )
-from .pool import ordered_map
 
 SCHEMA_VERSION = 1
 
@@ -197,12 +197,18 @@ def _cmd_stream(
     ``describe`` also says whether the graph counts as found.
 
     ``describer()`` returns ``describe`` and imports what it needs, here,
-    before the workers fork, so that no worker imports a module.  The lines
-    go in chunks of ``STREAM_CHUNK`` through ``ordered_map``, and each
+    before the workers fork, so that no worker imports a module.  The
+    non-blank lines, stripped and numbered from 1, go in chunks of
+    ``STREAM_CHUNK`` through ``ordered_map``, the CLI's only map, and each
     chunk's output is written whole, in input order."""
+    from .pool import ordered_map
+
     errors = found = 0
     describe_chunk = partial(_stream_chunk, describer(), args.format)
-    with ordered_map(describe_chunk, _chunks(args.input), args.workers) as described:
+    lines = ((lineno, line) for lineno, raw in enumerate(args.input, start=1)
+             if (line := raw.strip()))
+    chunks = iter(lambda: list(islice(lines, STREAM_CHUNK)), [])
+    with ordered_map(describe_chunk, chunks, args.workers) as described:
         for text, messages, chunk_errors, chunk_found in described:
             sys.stderr.write(messages)
             out.write(text)
@@ -211,21 +217,6 @@ def _cmd_stream(
     if errors:
         return EXIT_STREAM_ERROR
     return EXIT_FOUND if found else EXIT_OK
-
-
-def _chunks(stream: Iterable[bytes]) -> Iterator[list[tuple[int, bytes]]]:
-    """The stream's non-blank lines, stripped and numbered from 1, in lists
-    of ``STREAM_CHUNK``."""
-    chunk = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if line:
-            chunk.append((lineno, line))
-            if len(chunk) == STREAM_CHUNK:
-                yield chunk
-                chunk = []
-    if chunk:
-        yield chunk
 
 
 def _stream_chunk(
@@ -360,10 +351,10 @@ def _fail(args: argparse.Namespace, exc: Exception) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    # a regular --output file is written to a temporary file beside it, moved
-    # onto the path once the command returns, so a usage error leaves the
-    # path untouched
-    staged = None
+    # a regular --output file, or a new one, is written to a temporary file
+    # beside the file the path names, moved onto that file once the command
+    # returns, so a usage error leaves it untouched and a link stays a link
+    staged = target = None
     with contextlib.ExitStack() as files:
         try:
             # input first, so a missing input leaves no stray temporary file;
@@ -377,7 +368,8 @@ def main(argv: list[str] | None = None) -> int:
                     # a device or a pipe cannot be replaced: write it in place
                     out = files.enter_context(open(args.output, "w", encoding="ascii"))
                 else:
-                    staged = f"{args.output}.{os.getpid()}.tmp"
+                    target = os.path.realpath(args.output)
+                    staged = f"{target}.{os.getpid()}.tmp"
                     out = files.enter_context(open(staged, "x", encoding="ascii"))
         except OSError as exc:
             return _fail(args, exc)
@@ -387,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
             if staged is not None:
                 out.close()
                 try:
-                    os.replace(staged, args.output)
+                    os.replace(staged, target)
                 except OSError as exc:
                     return _fail(args, exc)
                 staged = None

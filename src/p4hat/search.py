@@ -354,13 +354,14 @@ def counterexample_search(
 ) -> SearchReport:
     """Search all (t-2)-subsets of candidates for a p4hat-free union.
 
-    "exhausted" means every union contained the forbidden pattern; together
-    with the single-triangle-block fallback this certifies that no n-vertex
-    p4hat-free graph holds >= t triangles whenever t > floor(n^2/8)
-    (reported as ``nonexistence_certified``).  A found union is returned as
-    the counterexample with the least colex rank; ``graphs_examined`` is
-    then the number of ranks up to and including it.  The report is
-    identical for every worker count.
+    "exhausted" means every union contained the forbidden pattern.  When
+    t > floor(n^2/8), fact (a) of the module docstring gives every
+    p4hat-free graph with >= t triangles a K4, hence two triangles sharing
+    an edge, so exhaustion certifies that no n-vertex p4hat-free graph holds
+    >= t triangles (reported as ``nonexistence_certified``).  A found union
+    is returned as the counterexample with the least colex rank;
+    ``graphs_examined`` is then the number of ranks up to and including it.
+    The report is identical for every worker count.
     """
     if not 5 <= n <= SEARCH_MAX_VERTICES:
         raise GuardError(f"counterexample_search supports 5 <= n <= {SEARCH_MAX_VERTICES}, got {n}")

@@ -257,8 +257,11 @@ def sample_p4hat_free(rng: random.Random, count: int, n_max: int = 12) -> list[G
 
 
 def run_cli(*args: str, stdin_text: str | None = None) -> tuple[int, bytes, str]:
+    """Run ``python -m p4hat *args`` with every warning an error, in
+    development mode, so that (from Python 3.12) a fork in a process with
+    threads fails the command; return its exit code, stdout and stderr."""
     proc = subprocess.run(
-        [sys.executable, "-m", "p4hat", *args],
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "p4hat", *args],
         input=stdin_text.encode() if stdin_text is not None else None,
         capture_output=True,
     )

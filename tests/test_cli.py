@@ -250,6 +250,20 @@ class TestStreamWorkers:
         assert pool_sizes == [3]
         assert outputs[0] == outputs[1]
 
+    def test_blank_crlf_lines_straddling_a_chunk_boundary(self):
+        # a full chunk of non-blank lines, two blank ones, then two more
+        rng = random.Random(19)
+        graphs = [g6(random_graph(rng, rng.randint(1, 10), 0.5)) for _ in range(STREAM_CHUNK + 2)]
+        lines = graphs[:STREAM_CHUNK] + ["", ""] + graphs[STREAM_CHUNK:]
+        text = "".join(line + "\r\n" for line in lines)
+        for workers in ("1", "2"):
+            code, out, err = run_cli("blocks", "--workers", workers, stdin_text=text)
+            assert (code, err) == (0, "")
+            docs = [json.loads(line) for line in out.splitlines()]
+            assert [doc["line"] for doc in docs] == [
+                *range(1, STREAM_CHUNK + 1), STREAM_CHUNK + 3, STREAM_CHUNK + 4]
+            assert [doc["graph6"] for doc in docs] == graphs
+
     @pytest.mark.parametrize("command", ["blocks", "witness"])
     def test_worker_count_guard(self, command):
         for workers in ("0", "-2"):
@@ -364,13 +378,18 @@ class TestUnopenablePaths:
         assert not target.exists()
 
     def test_usage_error_keeps_an_existing_output(self, tmp_path):
-        target = tmp_path / "pre.json"
+        # as a regular file, then through a symbolic link to it
+        target, link = tmp_path / "pre.json", tmp_path / "link.json"
         target.write_bytes(b"hello world\n")
-        code, out, err = run_cli("search", "--n", "99", "--t", "9", "--output", str(target))
-        assert (code, out) == (64, b"")
-        assert err.startswith("p4hat search: ") and err.count("\n") == 1
-        assert target.read_bytes() == b"hello world\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["pre.json"]  # no temporary left
+        for path, names in ((target, ["pre.json"]), (link, ["link.json", "pre.json"])):
+            if path == link:
+                link.symlink_to(target)
+            code, out, err = run_cli("search", "--n", "99", "--t", "9", "--output", str(path))
+            assert (code, out) == (64, b"")
+            assert err.startswith("p4hat search: ") and err.count("\n") == 1
+            assert target.read_bytes() == b"hello world\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == names  # no temporary left
+        assert link.is_symlink()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_a_pipe_output_is_written_in_place(self, tmp_path):
@@ -386,6 +405,19 @@ class TestUnopenablePaths:
         finally:
             os.close(reader)
         assert fifo.is_fifo()
+
+    @pytest.mark.parametrize("target_exists", [True, False])
+    def test_a_link_output_is_written_through(self, tmp_path, target_exists):
+        # moving a temporary file onto the link would replace the link
+        real, link = tmp_path / "real.json", tmp_path / "link.json"
+        if target_exists:
+            real.write_text("old text\n")
+        link.symlink_to(real)
+        code, out, err = run_cli("extremal", "--n", "5", "--output", str(link))
+        assert (code, out, err.count("\n")) == (0, b"", 1)
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert json.loads(real.read_text())["ex_value"] == 4
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
 
 
 class TestCheckBounds:
@@ -479,7 +511,17 @@ class TestStartup:
         loaded = self.loaded_modules("-m", "p4hat", "--help")
         assert "p4hat.cli" in loaded
         assert loaded.isdisjoint({"dataclasses", "inspect", "p4hat.search", "p4hat.blocks",
-                                  "p4hat.bounds", "p4hat.canon", "p4hat.patterns"})
+                                  "p4hat.bounds", "p4hat.canon", "p4hat.patterns",
+                                  "p4hat.pool"})
+
+    @pytest.mark.parametrize("argv", [
+        ("check-bounds", "--n-max", "12"),
+        ("verify-construction", "--family", "sixteen-vertex"),
+    ])
+    def test_a_command_that_maps_nothing_loads_no_pool(self, argv):
+        loaded = self.loaded_modules("-m", "p4hat", *argv)
+        assert "p4hat.cli" in loaded
+        assert "p4hat.pool" not in loaded
 
     def test_extremal_loads_no_blocks_or_bounds(self):
         loaded = self.loaded_modules("-m", "p4hat", "extremal", "--n", "8", "--workers", "2")
@@ -506,12 +548,12 @@ class TestStartup:
         source = tmp_path / "in.g6"
         source.write_text(g6(book(3)) + "\n")
         code = (
-            "import sys, p4hat.cli as cli\n"
-            "real = cli.ordered_map\n"
+            "import sys, p4hat.cli as cli, p4hat.pool as pool\n"
+            "real = pool.ordered_map\n"
             "def spy(fn, items, workers):\n"
             "    print(sorted(m for m in sys.modules if m.startswith('p4hat.')), file=sys.stderr)\n"
             "    return real(fn, items, workers)\n"
-            "cli.ordered_map = spy\n"
+            "pool.ordered_map = spy\n"
             f"sys.exit(cli.main([{command!r}, '--input', {str(source)!r}, '--workers', '2']))\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
