@@ -21,6 +21,7 @@ import contextlib
 import io
 import json
 import os
+import stat
 import sys
 import time
 from functools import partial
@@ -353,27 +354,32 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # a regular --output file, or a new one, is written to a temporary file
     # beside the file the path names, moved onto that file once the command
-    # returns, so a usage error leaves it untouched and a link stays a link
+    # returns, so a usage error leaves it untouched and a link stays a link.
+    # The temporary file takes an existing file's permission bits before any
+    # output is written; a hard link to the file keeps the old text
     staged = target = None
     with contextlib.ExitStack() as files:
         try:
-            # input first, so a missing input leaves no stray temporary file;
-            # stream commands read bytes, so any line can be reported as malformed
-            if "input" in args:
-                args.input = (sys.stdin.buffer if args.input == "-"
-                              else files.enter_context(open(args.input, "rb")))
-            out: TextIO = sys.stdout
-            if args.output != "-":
-                if os.path.exists(args.output) and not os.path.isfile(args.output):
-                    # a device or a pipe cannot be replaced: write it in place
-                    out = files.enter_context(open(args.output, "w", encoding="ascii"))
-                else:
-                    target = os.path.realpath(args.output)
-                    staged = f"{target}.{os.getpid()}.tmp"
-                    out = files.enter_context(open(staged, "x", encoding="ascii"))
-        except OSError as exc:
-            return _fail(args, exc)
-        try:
+            try:
+                # input first, so a missing input leaves no stray temporary file;
+                # stream commands read bytes, so any line can be reported as malformed
+                if "input" in args:
+                    args.input = (sys.stdin.buffer if args.input == "-"
+                                  else files.enter_context(open(args.input, "rb")))
+                out: TextIO = sys.stdout
+                if args.output != "-":
+                    if os.path.exists(args.output) and not os.path.isfile(args.output):
+                        # a device or a pipe cannot be replaced: write it in place
+                        out = files.enter_context(open(args.output, "w", encoding="ascii"))
+                    else:
+                        target = os.path.realpath(args.output)
+                        out = files.enter_context(
+                            open(f"{target}.{os.getpid()}.tmp", "x", encoding="ascii"))
+                        staged = out.name
+                        if os.path.exists(target):
+                            os.chmod(staged, stat.S_IMODE(os.stat(target).st_mode))
+            except OSError as exc:
+                return _fail(args, exc)
             code = args.run(args, out)
             out.flush()  # a closed reader surfaces here, not at exit
             if staged is not None:

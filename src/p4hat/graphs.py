@@ -58,16 +58,15 @@ def _bits(x: int) -> Iterator[int]:
 class Graph:
     """Simple undirected graph: vertex count plus per-vertex neighbor masks.
 
-    The constructor validates the rows in one pass.  Each row must be a
-    non-negative mask below ``1 << n`` with no loop bit; each bit u of row v
-    below the diagonal (u < v) must be mirrored by bit v of row u; and the
-    bits below the diagonal must be half of all the set bits, as many as
-    those above it.  That is exactly symmetry: mirroring sends the lower
-    entries one-to-one into the upper entries, and equal counts make that
-    map onto, so every upper entry is mirrored as well.  Only the lower
-    half is walked bit by bit.  On any fault the rows are scanned again in
-    order (``_raise_first_fault``), which raises what the first bad row or
-    pair calls for.
+    The constructor checks the rows in one pass.  Each row must be a
+    non-negative mask below ``1 << n`` with no loop bit, and the pass raises
+    for the first row that is not.  It also counts the set bits, and the
+    bits u of row v below the diagonal (u < v) that bit v of row u mirrors.
+    Mirroring sends those lower entries one-to-one into the upper entries,
+    so the set bits are twice the mirrored count exactly when every lower
+    entry is mirrored and every upper entry is an image: exactly symmetry.
+    Only when the counts differ are the rows read again, to name the first
+    unmirrored pair in row order.
     """
 
     __slots__ = ("n", "adj")
@@ -77,20 +76,25 @@ class Graph:
             raise VertexCountError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
         if len(adj) != n:
             raise GraphError(f"adjacency has {len(adj)} rows for n={n}")
-        lower = total = 0
+        mirrored = total = 0
         for v, row in enumerate(adj):
             if row >> v & 1 or row >> n:  # a loop, a bit at or above n, or a negative row
-                _raise_first_fault(n, adj)
-            low = row & (1 << v) - 1
-            lower += low.bit_count()
+                if row < 0:
+                    raise VertexRangeError(f"row {v} is negative: {row}")
+                if row >> v & 1:
+                    raise LoopEdgeError(f"loop at vertex {v}")
+                raise VertexRangeError(f"row {v} has neighbor bits at or above n={n}")
             total += row.bit_count()
+            low = row & (1 << v) - 1
             while low:
                 u = low.bit_length() - 1
-                if not adj[u] >> v & 1:
-                    _raise_first_fault(n, adj)
+                mirrored += adj[u] >> v & 1
                 low ^= 1 << u
-        if 2 * lower != total:
-            _raise_first_fault(n, adj)
+        if 2 * mirrored != total:
+            for v, row in enumerate(adj):
+                for u in _bits(row):
+                    if not adj[u] >> v & 1:
+                        raise GraphError(f"adjacency not symmetric at ({u}, {v})")
         self.n = n
         self.adj = tuple(adj)
 
@@ -122,26 +126,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, e={self.edge_count()})"
-
-
-def _raise_first_fault(n: int, adj: tuple[int, ...]) -> None:
-    """Raise for the first faulty row in order, else for the first
-    unmirrored bit; ``Graph`` calls it once its one-pass check has failed."""
-    full = (1 << n) - 1
-    for v, row in enumerate(adj):
-        if row < 0:
-            raise VertexRangeError(f"row {v} is negative: {row}")
-        if row >> v & 1:
-            raise LoopEdgeError(f"loop at vertex {v}")
-        if row & ~full:
-            raise VertexRangeError(f"row {v} has neighbor bits at or above n={n}")
-    for v, row in enumerate(adj):
-        while row:
-            low = row & -row
-            u = low.bit_length() - 1
-            if not adj[u] >> v & 1:
-                raise GraphError(f"adjacency not symmetric at ({u}, {v})")
-            row ^= low
 
 
 def from_edges(n: int, edges: Iterable[Edge]) -> Graph:
@@ -223,27 +207,18 @@ def edge_minimal_reduction(g: Graph) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def normalize_triangle(t: Iterable[int]) -> Triangle:
-    a, b, c = sorted(t)
-    if a == b or b == c:
-        raise GraphError(f"triangle vertices must be distinct, got {tuple(t)!r}")
-    return (a, b, c)
-
-
 def triangle_edges(t: Triangle) -> tuple[Edge, Edge, Edge]:
     a, b, c = t
     return ((a, b), (a, c), (b, c))
 
 
 def union_of_triangles(n: int, ts: Iterable[Iterable[int]]) -> Graph:
-    """Graph whose edge set is the union of the given triangles' edges."""
-    edges: list[Edge] = []
-    for t in ts:
-        tri = normalize_triangle(t)
-        if tri[2] >= n:
-            raise VertexRangeError(f"triangle {tri} leaves vertex range 0..{n - 1}")
-        edges.extend(triangle_edges(tri))
-    return from_edges(n, edges)
+    """Graph whose edge set is the union of the given triangles' edges.
+
+    The triples may list their vertices in any order; ``from_edges`` rejects
+    a repeated vertex as a loop and a label outside 0..n-1 as out of range.
+    """
+    return from_edges(n, [e for t in ts for e in triangle_edges(t)])
 
 
 def neighborhood_subgraph(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
@@ -272,30 +247,26 @@ def neighborhood_subgraph(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
 # triangle of the adjacency matrix in column order
 #     x(0,1), x(0,2), x(1,2), x(0,3), x(1,3), x(2,3), ...
 # packed big-endian into 6-bit groups, each emitted as 63 + group.  The
-# final group is zero-padded.  The multi-byte encodings for n > 62 are
-# deliberately unsupported and rejected with Graph6SizeError.
+# final group is zero-padded.  ``_graph6_pairs`` is the one statement of
+# that bit order: the encoder and the decoder both walk it.  The multi-byte
+# encodings for n > 62 are deliberately unsupported and rejected with
+# Graph6SizeError.
 
 
 def encode_graph6(g: Graph) -> bytes:
-    if g.n > GRAPH6_MAX_VERTICES:
+    n, adj = g.n, g.adj
+    if n > GRAPH6_MAX_VERTICES:
         raise Graph6SizeError(
-            f"graph6 single-byte header supports n <= {GRAPH6_MAX_VERTICES}, got {g.n}"
+            f"graph6 single-byte header supports n <= {GRAPH6_MAX_VERTICES}, got {n}"
         )
-    out = bytearray([63 + g.n])
-    group = 0
-    nbits = 0
-    for v in range(1, g.n):
-        col = g.adj[v]
-        for u in range(v):
-            group = group << 1 | (col >> u & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(63 + group)
-                group = 0
-                nbits = 0
-    if nbits:
-        out.append(63 + (group << (6 - nbits)))
-    return bytes(out)
+    bits = 0
+    for i, (_, ubit, v, _) in enumerate(_graph6_pairs(n)):
+        if adj[v] & ubit:
+            bits |= 1 << i
+    tri_len = n * (n - 1) // 2
+    ngroups = (tri_len + 5) // 6
+    bits <<= 6 * ngroups - tri_len
+    return bytes([63 + n, *(63 + (bits >> s & 63) for s in range(6 * ngroups - 6, -1, -6))])
 
 
 def decode_graph6(data: bytes | str) -> Graph:

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 
@@ -418,6 +419,25 @@ class TestUnopenablePaths:
         assert link.is_symlink() and os.readlink(link) == str(real)
         assert json.loads(real.read_text())["ex_value"] == 4
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+    @pytest.mark.parametrize("mode", [0o600, 0o664], ids=oct)
+    def test_an_existing_output_keeps_its_permission_bits(self, tmp_path, mode):
+        # the output is moved onto the file, so a hard link keeps the old text
+        target, hard = tmp_path / "r.json", tmp_path / "h.json"
+        target.write_text("old text\n")
+        target.chmod(mode)
+        os.link(target, hard)
+        assert run_cli("extremal", "--n", "4", "--output", str(target))[0] == 0
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert json.loads(target.read_text())["ex_value"] == 4
+        assert hard.read_text() == "old text\n"
+
+    def test_a_new_output_gets_the_umask_mode(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        target = tmp_path / "new.json"
+        assert run_cli("extremal", "--n", "4", "--output", str(target))[0] == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
 
 class TestCheckBounds:

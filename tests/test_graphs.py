@@ -193,6 +193,20 @@ class TestUnionOfTriangles:
         with pytest.raises(VertexRangeError):
             union_of_triangles(4, [(0, 1, 4)])
 
+    def test_vertex_order_does_not_matter(self):
+        rng = random.Random(429)
+        for _ in range(200):
+            n = rng.randint(3, 10)
+            ts = [tuple(rng.sample(range(n), 3)) for _ in range(rng.randint(1, 5))]
+            expected = union_of_triangles(n, [tuple(sorted(t)) for t in ts])
+            assert union_of_triangles(n, ts) == expected
+            assert union_of_triangles(n, [t[::-1] for t in ts]) == expected
+
+    @pytest.mark.parametrize("t", [(0, 0, 1), (1, 0, 1), (2, 1, 1), (3, 3, 3)])
+    def test_repeated_vertex(self, t):
+        with pytest.raises(GraphError):
+            union_of_triangles(4, [(0, 1, 2), t])
+
     def test_at_least_as_many_triangles_as_inputs(self):
         rng = random.Random(425)
         for _ in range(300):
@@ -247,6 +261,15 @@ def reference_decode_graph6(data: bytes) -> Graph:
     return from_edges(n, [pair for pair, bit in zip(pairs, bits) if bit == "1"])
 
 
+def reference_encode_graph6(g: Graph) -> bytes:
+    """Per-bit graph6 writer for a single-byte header, written from the
+    format description: pairs in column order, zero padding to a multiple
+    of six bits, one 6-bit group per body byte."""
+    bits = "".join("1" if g.has_edge(u, v) else "0" for v in range(1, g.n) for u in range(v))
+    bits += "0" * (-len(bits) % 6)
+    return bytes([63 + g.n] + [63 + int(bits[i:i + 6], 2) for i in range(0, len(bits), 6)])
+
+
 class TestGraph6:
     def test_k4(self):
         assert encode_graph6(complete(4)) == b"C~"
@@ -259,6 +282,13 @@ class TestGraph6:
         for _ in range(10_000):
             g = random_graph(rng, rng.randint(1, 62), rng.random())
             assert decode_graph6(encode_graph6(g)) == g
+
+    def test_every_size_matches_per_bit_reference_encoder(self):
+        rng = random.Random(428)
+        for n in range(1, 63):
+            for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+                g = random_graph(rng, n, p)
+                assert encode_graph6(g) == reference_encode_graph6(g), (n, p)
 
     def test_against_reference_encoder(self):
         nx = pytest.importorskip("networkx")
