@@ -45,9 +45,9 @@ _EXPORTS = {
     ),
     "search": (
         "FIXED_TRIANGLES", "CertificateReport", "SearchReport",
-        "candidate_triangles", "certify_upper_bound", "colex_rank",
-        "colex_unrank", "counterexample_search", "enumerate_extremal_configs",
-        "excluded_triangles", "exhaustive_oracle", "extremal_value",
+        "candidate_triangles", "certify_upper_bound", "counterexample_search",
+        "enumerate_extremal_configs", "excluded_triangles", "exhaustive_oracle",
+        "extremal_value",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

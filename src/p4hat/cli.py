@@ -53,6 +53,17 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def parse_args(self, args=None, namespace=None):  # type: ignore[override]
+        """Parse, then give a command that maps and was not given
+        ``--workers`` the pool's default.  Only such a command imports the
+        pool here, and it would import it to run anyway."""
+        parsed = super().parse_args(args, namespace)
+        if "workers" in parsed and parsed.workers is None:
+            from .pool import default_workers
+
+            parsed.workers = default_workers()
+        return parsed
+
 
 Fields = tuple[dict[str, Any], bool]  # a document's or line's fields, and "found"
 
@@ -292,15 +303,6 @@ def _check_bounds(args: argparse.Namespace) -> Fields:
     return doc, not doc["passed"]
 
 
-def _available_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the
-    platform has one, else every CPU on the host."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="p4hat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -309,8 +311,9 @@ def build_parser() -> _Parser:
     output.add_argument("--format", choices=("json", "text"), default="json")
     output.add_argument("--output", default="-", help="output path, '-' for stdout")
     workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument("--workers", type=int, default=_available_cpus(),
-                         help="parallel workers (default: available parallelism)")
+    workers.add_argument("--workers", type=int, default=None,
+                         help="parallel workers (default: the available CPUs, "
+                              "at most the largest count allowed)")
     stream = argparse.ArgumentParser(add_help=False)
     stream.add_argument("--input", default="-", help="input path, '-' for stdin")
 

@@ -53,7 +53,9 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Itera
     read) processes, and with one process the map goes on here with the
     builtin ``map``, so ``workers == 1`` never forks.  A worker count
     outside 1..``MAX_WORKERS`` raises ``GuardError`` on entry, before any
-    item is read.  A pool holds at most ``IN_FLIGHT_PER_PROCESS`` items per
+    item is read.  A pool that the open-file or process limit keeps from
+    starting raises ``GuardError`` too, once the workers it did start have
+    exited.  A pool holds at most ``IN_FLIGHT_PER_PROCESS`` items per
     process sent but not yet yielded, so an endless ``items`` is never read
     into memory.  An exception raised by ``fn`` is raised here at its item's
     turn; one raised in a worker is caused by the worker's traceback text.
@@ -67,6 +69,16 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Itera
         yield results
     finally:
         results.close()
+
+
+def default_workers() -> int:
+    """The CPUs this process may run on, at most ``MAX_WORKERS``: its
+    affinity mask where the platform has one, else every CPU on the host."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_WORKERS)
 
 
 def check_workers(workers: int) -> None:
@@ -121,6 +133,11 @@ class _Workers:
         try:
             for _ in range(processes):
                 self._fork(fn)
+        except OSError as exc:  # out of open files or processes: a guard, not a crash
+            started = len(self._children)
+            self.close()
+            raise GuardError(f"could not start pool worker {started + 1} of {processes}: "
+                             f"{exc}") from None
         except BaseException:
             self.close()
             raise

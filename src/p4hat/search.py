@@ -155,31 +155,6 @@ def candidate_triangles(n: int) -> list[Triangle]:
     return [tri for tri in combinations(range(n), 3) if tri not in dropped]
 
 
-# -- colexicographic subset ranking -------------------------------------------
-
-def colex_rank(subset: Sequence[int]) -> int:
-    elements = sorted(subset)
-    if len(set(elements)) < len(elements) or any(c < 0 for c in elements):
-        raise GuardError(f"colex_rank needs distinct elements >= 0, got {tuple(subset)}")
-    return sum(comb(c, j + 1) for j, c in enumerate(elements))
-
-
-def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
-    if rank < 0 or k < 0:
-        raise GuardError(f"colex_unrank needs rank >= 0 and k >= 0, got {rank}, {k}")
-    if k == 0 and rank > 0:
-        raise GuardError(f"the only 0-subset has rank 0, got {rank}")
-    out = []
-    r = rank
-    for j in range(k, 0, -1):
-        m = j - 1
-        while comb(m + 1, j) <= r:
-            m += 1
-        out.append(m)
-        r -= comb(m, j)
-    return tuple(reversed(out))
-
-
 # -- the pruned colex scan ------------------------------------------------------
 
 def _row_bits(tris: Sequence[Triangle]) -> tuple[tuple[tuple[int, int], ...], ...]:

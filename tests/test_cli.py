@@ -1,8 +1,10 @@
+import errno
 import hashlib
 import importlib
 import json
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -285,13 +287,50 @@ class TestStreamWorkers:
         assert err == (f"p4hat {argv[0]}: worker count must be <= {MAX_WORKERS}, "
                        f"got {MAX_WORKERS + 1}\n")
 
-    def test_default_follows_cpu_affinity(self, monkeypatch):
+    def test_default_follows_cpu_affinity(self, monkeypatch, tmp_path, pool_sizes):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
         for argv in (["blocks"], ["witness"], ["search", "--n", "8", "--t", "9"]):
             assert build_parser().parse_args(argv).workers == 3
+        # more CPUs than the cap: the default is the cap, and a map runs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(300)))
+        assert build_parser().parse_args(["extremal", "--n", "5"]).workers == MAX_WORKERS
+        assert main(["extremal", "--n", "5", "--output", str(tmp_path / "out")]) == 0
         monkeypatch.delattr(os, "sched_getaffinity")  # a platform without affinity
         assert build_parser().parse_args(["blocks"]).workers == 64
+
+    def test_too_few_open_files_for_the_pool_is_a_usage_error(self, tmp_path):
+        # the first chunk spends the fork budget, so the next four go to a
+        # pool of four; the open-file limit leaves room for two workers
+        source = tmp_path / "in.g6"
+        source.write_text((g6(book(20)) + "\n") * STREAM_CHUNK
+                          + (g6(book(1)) + "\n") * (4 * STREAM_CHUNK))
+        target = tmp_path / "out"
+        code = (
+            "import os, resource, sys\n"
+            "import p4hat.cli as cli\n"
+            "free = os.open(os.devnull, os.O_RDONLY)\n"
+            "os.close(free)\n"
+            "hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]\n"
+            "# room for the input, the output and two workers: each worker\n"
+            "# opens four pipe ends and keeps two\n"
+            "resource.setrlimit(resource.RLIMIT_NOFILE, (free + 8, hard))\n"
+            f"status = cli.main(['witness', '--input', {str(source)!r}, '--output', "
+            f"{str(target)!r}, '--workers', '4'])\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "    print('a worker was left behind', file=sys.stderr)\n"
+            "except ChildProcessError:\n"
+            "    pass\n"
+            "sys.exit(status)\n"
+        )
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 64, proc.stderr
+        assert proc.stdout == ""
+        assert re.fullmatch(r"p4hat witness: could not start pool worker [234] of 4: "
+                            rf"\[Errno {errno.EMFILE}\] Too many open files\n", proc.stderr)
+        assert not target.exists()
 
 
 def random_corpus(seed: int, count: int) -> str:
@@ -581,7 +620,7 @@ class TestStartup:
         assert module in proc.stderr.splitlines()[0]
 
     def test_every_export_resolves(self):
-        assert len(p4hat.__all__) == 60
+        assert len(p4hat.__all__) == 58
         for name in p4hat.__all__:
             module = importlib.import_module(f"p4hat.{p4hat._MODULE_OF[name]}")
             assert getattr(p4hat, name) is getattr(module, name)

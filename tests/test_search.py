@@ -13,8 +13,6 @@ from p4hat import (
     candidate_triangles,
     canonical_form,
     certify_upper_bound,
-    colex_rank,
-    colex_unrank,
     complete,
     contains_path4,
     count_triangles,
@@ -89,39 +87,8 @@ class TestCandidates:
 
 
 class TestColex:
-    def test_first_subset(self):
-        assert colex_unrank(0, 7) == (0, 1, 2, 3, 4, 5, 6)
-
     def test_total_ranks_38_7(self):
         assert comb(38, 7) == 12_620_256
-
-    def test_rank_unrank_round_trip(self):
-        rng = random.Random(81)
-        for _ in range(500):
-            k = rng.randint(1, 7)
-            rank = rng.randrange(comb(38, k))
-            subset = colex_unrank(rank, k)
-            assert colex_rank(subset) == rank
-
-    def test_colex_order_is_rank_order(self):
-        subsets = sorted(combinations(range(6), 3), key=lambda s: s[::-1])
-        for rank, subset in enumerate(subsets):
-            assert colex_rank(subset) == rank
-
-    def test_guards(self):
-        with pytest.raises(GuardError):
-            colex_unrank(-1, 3)
-        with pytest.raises(GuardError):
-            colex_unrank(0, -1)
-        # only rank 0 has a 0-subset
-        assert colex_unrank(0, 0) == ()
-        with pytest.raises(GuardError):
-            colex_unrank(1, 0)
-        # a repeated or negative element names no subset
-        with pytest.raises(GuardError):
-            colex_rank([2, 2])
-        with pytest.raises(GuardError):
-            colex_rank((-1, 3))
 
 
 class TestPrunedScan:
@@ -162,11 +129,13 @@ class TestPrunedScan:
                 covered += examined
                 if hi - lo > comb(14, 6):
                     continue
-                ref = []
-                for rank in range(lo, hi):
-                    union = _union(8, cands, colex_unrank(rank, k))
-                    if is_p4hat_free(union):
-                        ref.append((rank, union.adj))
+                # by definition: top after each (k - 1)-subset of range(top),
+                # in colex order, ranked from C(top, k)
+                lower = sorted(combinations(range(top), k - 1), key=lambda s: s[::-1])
+                assert len(lower) == hi - lo
+                unions = (_union(8, cands, s + (top,)) for s in lower)
+                ref = [(rank, g.adj) for rank, g in enumerate(unions, lo)
+                       if is_p4hat_free(g)]
                 assert (examined, hits) == (hi - lo, ref), (k, top)
                 examined, _, hits = _scan(seed, cand_bits, k, top, first=True)
                 assert hits == ref[:1], (k, top)
