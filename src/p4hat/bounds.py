@@ -161,7 +161,7 @@ class CaseThresholdReport(NamedTuple):
     # 3*(floor(n^2/8) + 1) > (3n^2 + 26n - 61)/12 for n >= 17, n = 2 (mod 3)
     case1_ok: bool
     case1_violations: tuple[int, ...]
-    # floor(n^2/8) + 1 > n(n+8)/12 exactly for n >= 15 (within 4..n_max)
+    # floor(n^2/8) + 1 > n(n+8)/12 exactly for n >= 15 (within 4..16)
     case2_ok: bool
     case2_violations: tuple[int, ...]
     # 4 * (x0^2+x1^2+x2^2+x3^2) >= (x0+x1+x2+x3)^2 for all integers x_i: the
@@ -173,7 +173,7 @@ class CaseThresholdReport(NamedTuple):
         return self.case1_ok and self.case2_ok and self.cauchy_schwarz_ok
 
 
-def case_threshold_audit(n_max: int = 200) -> CaseThresholdReport:
+def case_threshold_audit(n_max: int) -> CaseThresholdReport:
     """Confirm the two numeric thresholds behind the induction cases.
 
     All comparisons are exact: both sides are scaled by 12 to stay in
@@ -185,11 +185,11 @@ def case_threshold_audit(n_max: int = 200) -> CaseThresholdReport:
     """
     _check_audit_range("case_threshold_audit", 17, n_max)
     case1_bad = [  # 17 = 2 (mod 3); both sides times 12
-        n for n in range(17, min(n_max, 17) + 1, 3)
+        n for n in (17,)
         if not 36 * (n * n // 8 + 1) > 3 * n * n + 26 * n - 61
     ]
     case2_bad = [
-        n for n in range(4, min(n_max, 16) + 1)
+        n for n in range(4, 17)
         if (12 * (n * n // 8 + 1) > n * (n + 8)) != (n >= 15)
     ]
     return CaseThresholdReport(

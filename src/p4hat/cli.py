@@ -9,7 +9,8 @@ as forking the worker pool costs, and only then forks it for the rest.
 Each chunk's output is written whole, in input order, so output arrives a
 chunk at a time.  Exit codes: 0 = verified/exhausted,
 1 = malformed stream input, 2 = counterexample/violation/witness found,
-64 = usage error, 141 = stdout closed by its reader (128 + SIGPIPE).
+64 = usage error, or an I/O error on the input or the output (one stderr
+line), 141 = stdout closed by its reader (128 + SIGPIPE).
 JSON schemas are documented in the README; every single-document payload
 carries ``schema_version``.
 """
@@ -348,11 +349,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _fail(args: argparse.Namespace, exc: Exception) -> int:
-    print(f"p4hat {args.command}: {exc}", file=sys.stderr)
-    return EXIT_USAGE
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     # a regular --output file, or a new one, is written to a temporary file
@@ -361,45 +357,46 @@ def main(argv: list[str] | None = None) -> int:
     # The temporary file takes an existing file's permission bits before any
     # output is written; a hard link to the file keeps the old text
     staged = target = None
+    out: TextIO = sys.stdout
     with contextlib.ExitStack() as files:
         try:
-            try:
-                # input first, so a missing input leaves no stray temporary file;
-                # stream commands read bytes, so any line can be reported as malformed
-                if "input" in args:
-                    args.input = (sys.stdin.buffer if args.input == "-"
-                                  else files.enter_context(open(args.input, "rb")))
-                out: TextIO = sys.stdout
-                if args.output != "-":
-                    if os.path.exists(args.output) and not os.path.isfile(args.output):
-                        # a device or a pipe cannot be replaced: write it in place
-                        out = files.enter_context(open(args.output, "w", encoding="ascii"))
-                    else:
-                        target = os.path.realpath(args.output)
-                        out = files.enter_context(
-                            open(f"{target}.{os.getpid()}.tmp", "x", encoding="ascii"))
-                        staged = out.name
-                        if os.path.exists(target):
-                            os.chmod(staged, stat.S_IMODE(os.stat(target).st_mode))
-            except OSError as exc:
-                return _fail(args, exc)
+            if not args.output:  # realpath('') would name the working directory
+                raise GuardError("--output needs a path, or '-' for stdout")
+            # input first, so a missing input leaves no stray temporary file;
+            # stream commands read bytes, so any line can be reported as malformed
+            if "input" in args:
+                args.input = (sys.stdin.buffer if args.input == "-"
+                              else files.enter_context(open(args.input, "rb")))
+            if args.output != "-":
+                if os.path.exists(args.output) and not os.path.isfile(args.output):
+                    # a device or a pipe cannot be replaced: write it in place
+                    out = files.enter_context(open(args.output, "w", encoding="ascii"))
+                else:
+                    target = os.path.realpath(args.output)
+                    out = files.enter_context(
+                        open(f"{target}.{os.getpid()}.tmp", "x", encoding="ascii"))
+                    staged = out.name
+                    if os.path.exists(target):
+                        os.chmod(staged, stat.S_IMODE(os.stat(target).st_mode))
             code = args.run(args, out)
-            out.flush()  # a closed reader surfaces here, not at exit
+            out.flush()  # a closed reader or a full disk surfaces here, not at exit
             if staged is not None:
                 out.close()
-                try:
-                    os.replace(staged, target)
-                except OSError as exc:
-                    return _fail(args, exc)
+                os.replace(staged, target)
                 staged = None
             return code
-        except (GuardError, GraphError) as exc:
-            return _fail(args, exc)
-        except BrokenPipeError:
-            # the reader stopped early; what is still buffered goes to
-            # devnull, so the flush at interpreter exit cannot raise again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return EXIT_BROKEN_PIPE
+        except (GuardError, GraphError, OSError) as exc:
+            # what was written stays written; an output that cannot take it
+            # gets devnull, so neither its close nor the exit flush raises again
+            if not out.closed:
+                try:
+                    out.flush()
+                except OSError:
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+            if isinstance(exc, BrokenPipeError):  # the reader stopped early
+                return EXIT_BROKEN_PIPE
+            print(f"p4hat {args.command}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         finally:
             if staged is not None:  # not moved into place: a usage error or a crash
                 out.close()

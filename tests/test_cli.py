@@ -15,11 +15,28 @@ import p4hat
 from p4hat import book, complete, encode_graph6, sixteen_vertex
 from p4hat.cli import STREAM_CHUNK, build_parser, main
 from p4hat.pool import MAX_WORKERS
-from conftest import random_graph, run_cli
+from conftest import PYTHON_FLAGS, THREADED_FORK, random_graph, run_cli
 
 
 def g6(graph) -> str:
     return encode_graph6(graph).decode()
+
+
+def run_main(prelude: str, *argv: str, stdout=subprocess.PIPE) -> tuple[int, str, str]:
+    """Run ``prelude``, then ``p4hat.cli.main(argv)``, in a fresh interpreter
+    with ``PYTHON_FLAGS``; return its exit code, stdout and stderr."""
+    code = f"import sys\nimport p4hat.cli as cli\n{prelude}\nsys.exit(cli.main({list(argv)!r}))\n"
+    proc = subprocess.run([sys.executable, *PYTHON_FLAGS, "-c", code],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def fork_corpus(path) -> str:
+    """Write graph6 lines whose first chunk takes tens of milliseconds, more
+    than the pool's fork budget, and two more chunks; return the path."""
+    path.write_text((g6(book(20)) + "\n") * STREAM_CHUNK
+                    + (g6(book(1)) + "\n") * (STREAM_CHUNK + 1))
+    return str(path)
 
 
 class TestSearchCommand:
@@ -332,6 +349,17 @@ class TestStreamWorkers:
                             rf"\[Errno {errno.EMFILE}\] Too many open files\n", proc.stderr)
         assert not target.exists()
 
+    @pytest.mark.skipif(sys.version_info < (3, 12),
+                        reason="a fork in a process with threads warns from Python 3.12")
+    def test_a_fork_in_a_process_with_threads_is_seen(self, tmp_path):
+        # -W error alone hides the warning: os.fork clears it once it is an error
+        prelude = ("import threading\n"
+                   "threading.Thread(target=threading.Event().wait, daemon=True).start()")
+        code, _, err = run_main(prelude, "blocks", "--input", fork_corpus(tmp_path / "in.g6"),
+                                "--output", str(tmp_path / "out"), "--workers", "2")
+        assert code == 0
+        assert THREADED_FORK in err
+
 
 def random_corpus(seed: int, count: int) -> str:
     """``count`` seeded graph6 lines of random graphs on 1..16 vertices."""
@@ -479,6 +507,73 @@ class TestUnopenablePaths:
         assert stat.S_IMODE(target.stat().st_mode) == 0o666 & ~umask
 
 
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+NO_SPACE = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+
+
+def assert_one_failure_line(err: str, command: str, reason: str) -> None:
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert err.endswith("\n") and err.splitlines()[-1] == f"p4hat {command}: {reason}", err
+
+
+class TestIOErrors:
+    """An I/O error on the input or the output is a usage error: exit 64 and
+    one stderr line, with no traceback."""
+
+    @needs_dev_full
+    @pytest.mark.parametrize("argv", [("extremal", "--n", "8"), ("witness",)],
+                             ids=["extremal", "witness"])
+    def test_output_on_a_full_device(self, argv):
+        code, out, err = run_cli(*argv, "--output", "/dev/full", stdin_text="D~{\n")
+        assert (code, out) == (64, b"")
+        assert_one_failure_line(err, argv[0], NO_SPACE)
+
+    @needs_dev_full
+    def test_stdout_on_a_full_device(self):
+        with open("/dev/full", "w") as full:
+            code, _, err = run_main("", "extremal", "--n", "8", stdout=full)
+        assert code == 64
+        assert_one_failure_line(err, "extremal", NO_SPACE)
+
+    def test_input_error_keeps_the_output_already_written(self):
+        # the first chunk is read and written whole; reading the second fails
+        prelude = ("import errno, os, types\n"
+                   "def lines():\n"
+                   f"    yield from [b'D~{{\\n'] * {STREAM_CHUNK}\n"
+                   "    raise OSError(errno.EIO, os.strerror(errno.EIO))\n"
+                   "sys.stdin = types.SimpleNamespace(buffer=lines())")
+        code, out, err = run_main(prelude, "witness", "--workers", "1")
+        assert code == 64
+        assert [json.loads(line)["line"] for line in out.splitlines()] == list(
+            range(1, STREAM_CHUNK + 1))
+        assert err == f"p4hat witness: [Errno {errno.EIO}] {os.strerror(errno.EIO)}\n"
+
+    def test_a_failed_move_removes_the_staged_file(self, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_text("old text\n")
+        prelude = ("import os\n"
+                   "def refuse(source, target):\n"
+                   "    raise PermissionError(13, 'Permission denied')\n"
+                   "os.replace = refuse")
+        code, out, err = run_main(prelude, "extremal", "--n", "4", "--output", str(target))
+        assert (code, out) == (64, "")
+        assert_one_failure_line(err, "extremal", "[Errno 13] Permission denied")
+        assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+        assert target.read_text() == "old text\n"
+
+    def test_an_empty_output_path_fails_before_the_command_runs(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        # the working directory's own path would name its parent's new file
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main(["extremal", "--n", "4", "--output", ""]) == 64
+        assert capsys.readouterr() == ("", "p4hat extremal: --output needs a path, "
+                                           "or '-' for stdout\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["work"]
+        assert list(work.iterdir()) == []
+
+
 class TestCheckBounds:
     def test_passes(self):
         code, out, _ = run_cli("check-bounds", "--n-max", "5000")
@@ -593,11 +688,8 @@ class TestStartup:
         assert loaded.isdisjoint({"pickle", "select"})
 
     def test_a_stream_forks_once_its_first_chunk_spends_the_budget(self, tmp_path):
-        # the first chunk takes tens of milliseconds; two more chunks follow
-        source = tmp_path / "in.g6"
-        source.write_text((g6(book(20)) + "\n") * STREAM_CHUNK
-                          + (g6(book(1)) + "\n") * (STREAM_CHUNK + 1))
-        loaded = self.loaded_modules("-m", "p4hat", "blocks", "--input", str(source),
+        loaded = self.loaded_modules("-m", "p4hat", "blocks",
+                                     "--input", fork_corpus(tmp_path / "in.g6"),
                                      "--output", str(tmp_path / "out"), "--workers", "2")
         assert {"pickle", "select"} <= loaded
 

@@ -1,12 +1,15 @@
-"""Smoke test: every narrative script in demos/ runs to completion."""
+"""Smoke test: every narrative script in demos/ runs to completion, and the
+README's library tour prints what it says."""
 
+import doctest
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -17,3 +20,8 @@ def test_demos_found():
 def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour():
+    failures, attempted = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert attempted and not failures
