@@ -78,13 +78,14 @@ class BlockPreconditionError(ValueError):
 
 
 def classify_block(edges) -> Block:
-    """Classify a triangle-connected edge set as K4, Book(s), or Other."""
-    edge_list = sorted(tuple(sorted(e)) for e in edges)
-    if not edge_list:
+    """Classify a triangle-connected edge set as K4, Book(s), or Other; as in
+    ``from_edges``, an edge named twice, in either orientation, is one edge."""
+    edges = list(edges)
+    if not edges:
         raise GraphError("classify_block needs at least one edge")
-    verts = sorted({v for e in edge_list for v in e})
-    sub = from_edges(verts[-1] + 1, edge_list)
-    return _classify(sub.adj, tuple(verts), tuple(edge_list), count_triangles(sub))
+    sub = from_edges(max(max(e) for e in edges) + 1, edges)
+    verts = tuple(v for v, row in enumerate(sub.adj) if row)
+    return _classify(sub.adj, verts, tuple(sub.edges()), count_triangles(sub))
 
 
 def _classify(adj: tuple[int, ...], verts: tuple[int, ...], edges: tuple[Edge, ...],

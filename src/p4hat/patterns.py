@@ -60,13 +60,12 @@ def _mask_has_path4(adj: Sequence[int], mask: int) -> bool:
     return False
 
 
-def _rows_contain_suspension(adj: Sequence[int], n: int) -> bool:
-    """Boolean fast path shared with the search engine and samplers."""
-    for v in range(n):
-        row = adj[v]
+def _suspension_apex(adj: Sequence[int]) -> int | None:
+    """Least vertex whose neighborhood holds a 4-path, or None: the one apex search."""
+    for v, row in enumerate(adj):
         if row.bit_count() >= 4 and _mask_has_path4(adj, row):
-            return True
-    return False
+            return v
+    return None
 
 
 def _lex_least_path4(adj: Sequence[int], mask: int) -> tuple[int, int, int, int] | None:
@@ -93,17 +92,16 @@ def contains_suspension_p4(g: Graph) -> SuspensionWitness | None:
     The witness is deterministic: the least apex whose neighborhood holds a
     4-path, carrying the lexicographically least such path.
     """
-    adj = g.adj
-    for v, row in enumerate(adj):
-        if row.bit_count() >= 4 and _mask_has_path4(adj, row):
-            path = _lex_least_path4(adj, row)
-            assert path is not None
-            return SuspensionWitness(apex=v, path=path)
-    return None
+    apex = _suspension_apex(g.adj)
+    if apex is None:
+        return None
+    path = _lex_least_path4(g.adj, g.adj[apex])
+    assert path is not None
+    return SuspensionWitness(apex=apex, path=path)
 
 
 def is_p4hat_free(g: Graph) -> bool:
-    return not _rows_contain_suspension(g.adj, g.n)
+    return _suspension_apex(g.adj) is None
 
 
 def brute_force_suspension(g: Graph) -> bool:

@@ -120,7 +120,7 @@ from .graphs import (
     triangle_edges,
     union_of_triangles,
 )
-from .patterns import _rows_contain_suspension
+from .patterns import _suspension_apex
 from .pool import check_workers, ordered_map
 
 FIXED_TRIANGLES: tuple[Triangle, Triangle] = ((0, 1, 2), (0, 1, 3))
@@ -194,7 +194,7 @@ def _scan(seed, cand_bits, k, top, first):
             for v, bits in cand_bits[m]:
                 child[v] |= bits
             nodes += 1
-            if _rows_contain_suspension(child, n):
+            if _suspension_apex(child) is not None:
                 examined += combt[m][j - 1]
             elif j > 1:
                 if walk(j - 1, range(j - 2, m), base + combt[m][j], child):
@@ -411,7 +411,7 @@ def exhaustive_oracle(n: int) -> tuple[int, list[Graph]]:
         t += -delta if rows[u] >> v & 1 else delta
         rows[u] ^= 1 << v
         rows[v] ^= 1 << u
-        if t >= best and not _rows_contain_suspension(rows, n):
+        if t >= best and _suspension_apex(rows) is None:
             if t > best:
                 best = t
                 winners = [tuple(rows)]
@@ -439,7 +439,7 @@ def enumerate_extremal_configs(n: int, ex_value: int, workers: int = 1) -> list[
     forms: set[bytes] = set()
     if 2 * ex_value == n * n // 4:
         forced = bipartite_matching(n)
-        if count_triangles(forced) != ex_value or _rows_contain_suspension(forced.adj, n):
+        if count_triangles(forced) != ex_value or _suspension_apex(forced.adj) is not None:
             raise AssertionError("the forced K4-free configuration failed verification")
         forms.add(canonical_form(forced))
     for _, _, hits in _scan_seeds(_k4_seeds(n, ex_value), False, workers):

@@ -25,7 +25,7 @@ from p4hat import (
 from p4hat.blocks import Block
 from p4hat.canon import _refined_classes
 from p4hat.graphs import MAX_VERTICES, _bits, triangle_edges
-from p4hat.patterns import _rows_contain_suspension
+from p4hat.patterns import _suspension_apex
 from p4hat.search import _row_bits, _scan
 
 
@@ -251,7 +251,7 @@ def sample_p4hat_free(rng: random.Random, count: int, n_max: int = 12) -> list[G
             raise AssertionError("rejection sampling stalled")
         n = rng.randint(1, n_max)
         g = random_graph(rng, n, rng.choice(_free_probability_options(n)))
-        if not _rows_contain_suspension(g.adj, g.n):
+        if _suspension_apex(g.adj) is None:
             out.append(g)
     return out
 

@@ -7,6 +7,7 @@ from p4hat import (
     BlockDecomposition,
     BlockPreconditionError,
     GraphError,
+    VertexRangeError,
     base_edge_reduction,
     bipartite_matching,
     book,
@@ -125,6 +126,29 @@ class TestClassify:
     def test_empty_edge_set_raises(self):
         with pytest.raises(GraphError):
             classify_block([])
+
+    def test_edge_named_twice_is_one_edge(self):
+        b = classify_block(complete(4).edges() + [(1, 0)])
+        assert b.kind == "K4" and len(b.edges) == 6
+
+    def test_order_orientation_and_repeats_are_ignored(self):
+        # every block decompose finds, its edges shuffled, some reversed and
+        # some repeated, classifies back to the same block
+        rng = random.Random(76)
+        kinds = set()
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(3, 10), rng.choice((0.3, 0.5, 0.7, 0.9)))
+            for block in decompose(g).blocks:
+                edges = list(block.edges) + rng.sample(block.edges, rng.randint(1, len(block.edges)))
+                rng.shuffle(edges)
+                edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+                assert classify_block(edges) == block
+                kinds.add(block.kind)
+        assert kinds == {"K4", "Book", "Other"}
+
+    def test_bad_label_is_named_as_given(self):
+        with pytest.raises(VertexRangeError, match=r"edge \(0, -1\)"):
+            classify_block([(0, 1), (0, -1)])
 
     def test_free_graphs_never_other(self):
         # exhaustive for n <= 5 here; the acceptance suite covers n <= 6 and

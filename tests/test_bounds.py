@@ -22,7 +22,7 @@ from p4hat.bounds import (
     FloorIdentityReport,
     _component_kinds,
 )
-from p4hat.patterns import _mask_has_path4, _rows_contain_suspension
+from p4hat.patterns import _mask_has_path4, _suspension_apex
 from conftest import sample_p4hat_free
 
 
@@ -39,7 +39,7 @@ def _graphs_with_k4(rng, count):
         rng.shuffle(others)
         for e in others:
             if rng.random() < p and (
-                    i % 2 == 0 or not _rows_contain_suspension(from_edges(n, edges | {e}).adj, n)):
+                    i % 2 == 0 or _suspension_apex(from_edges(n, edges | {e}).adj) is None):
                 edges.add(e)
         yield from_edges(n, edges), s
 
@@ -132,7 +132,7 @@ class TestNeighborhoodStructure:
             assert rep.s_block_is_maximal == _block_is_maximal(g, s)
             paths = tuple(_mask_has_path4(g.adj, sum(1 << v for v in x)) for x in rep.x_sets)
             assert rep.x_p4_free == tuple(not p for p in paths)
-            seen["not free" if _rows_contain_suspension(g.adj, g.n) else "free"] += 1
+            seen["free" if _suspension_apex(g.adj) is None else "not free"] += 1
             seen["not maximal"] += not rep.s_block_is_maximal
             seen["X_i with a 4-path"] += any(paths)
         assert min(seen.values()) >= 100, seen

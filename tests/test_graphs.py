@@ -276,6 +276,7 @@ class TestGraph6:
 
     def test_single_vertex(self):
         assert encode_graph6(from_edges(1, [])) == b"@"
+        assert decode_graph6(b"@") == reference_decode_graph6(b"@") == from_edges(1, [])
 
     def test_round_trip_random(self):
         rng = random.Random(426)
@@ -289,6 +290,20 @@ class TestGraph6:
             for p in (0.0, 0.1, 0.5, 0.9, 1.0):
                 g = random_graph(rng, n, p)
                 assert encode_graph6(g) == reference_encode_graph6(g), (n, p)
+
+    def test_every_size_matches_per_bit_reference_decoder(self):
+        rng = random.Random(429)
+        for n in range(1, 63):
+            for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+                g = random_graph(rng, n, p)
+                data = reference_encode_graph6(g)
+                assert decode_graph6(data) == reference_decode_graph6(data) == g, (n, p)
+
+    def test_decode_names_first_malformed_body_byte(self):
+        data = bytearray(reference_encode_graph6(complete(10)))  # an 8-byte body
+        data[3], data[6] = 62, 127
+        with pytest.raises(Graph6Error, match=r"body byte 62$"):
+            decode_graph6(bytes(data))
 
     def test_against_reference_encoder(self):
         nx = pytest.importorskip("networkx")
