@@ -10,19 +10,22 @@ two choices would have cost it).  So a map that one process finishes
 quickly forks nothing.  The parent forks its workers with ``os.fork``; the
 program starts no threads, so a fork copies a consistent interpreter.  A
 worker inherits ``fn`` through the fork, so only items and results cross
-its two pipes, as length-prefixed pickles.  The parent sends an item only
-to an idle worker, so neither side ever blocks on a full pipe while the
-other waits for it.  Importing this module loads neither ``pickle`` nor
+its two buffered pipe files, each as one ``pickle.dump`` and a flush that
+``pickle.load`` reads back whole.  The parent sends an item only to an idle
+worker, so neither side ever blocks on a full pipe while the other waits
+for it, and a worker holds at most one item and owes at most one result:
+no pipe ever holds more than one pickle, so a buffered read never takes
+bytes past its own.  Importing this module loads neither ``pickle`` nor
 ``select``: the first fork imports them.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import closing, suppress
 from itertools import chain, islice
 from time import perf_counter
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, BinaryIO, Callable, Generator, Iterable, Iterator, TypeVar
 
 from .graphs import GuardError
 
@@ -40,11 +43,10 @@ FORK_BUDGET_S = 0.010
 # worker, and 1024 open files is a common soft limit; reading ahead to size
 # the pool also holds up to this many items.
 MAX_WORKERS = 256
-_HEADER = 8  # bytes of the little-endian length before each pickle
 
 
-@contextmanager
-def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Iterator[Iterator[R]]:
+def ordered_map(fn: Callable[[T], R], items: Iterable[T],
+                workers: int) -> closing[Generator[R, None, None]]:
     """Context giving a lazy iterator over ``fn(item)`` for each item, in order.
 
     Items are mapped here, one at a time as they are asked for, until the
@@ -52,7 +54,7 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Itera
     ``workers`` items are read to size the pool: it gets min(workers, items
     read) processes, and with one process the map goes on here with the
     builtin ``map``, so ``workers == 1`` never forks.  A worker count
-    outside 1..``MAX_WORKERS`` raises ``GuardError`` on entry, before any
+    outside 1..``MAX_WORKERS`` raises ``GuardError`` at once, before any
     item is read.  A pool that the open-file or process limit keeps from
     starting raises ``GuardError`` too, once the workers it did start have
     exited.  A pool holds at most ``IN_FLIGHT_PER_PROCESS`` items per
@@ -61,14 +63,11 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T], workers: int) -> Itera
     turn; one raised in a worker is caused by the worker's traceback text.
     Leaving the context early runs or sends no further item; items running
     in workers finish, and the parent waits for every worker to exit.  Every
-    item and result sent to a worker must pickle.
+    item and result sent to a worker must pickle, and crosses its pipe as one
+    pickle while the worker holds no other item and owes no other result.
     """
     check_workers(workers)
-    results = _mapped(fn, iter(items), workers)
-    try:
-        yield results
-    finally:
-        results.close()
+    return closing(_mapped(fn, iter(items), workers))
 
 
 def default_workers() -> int:
@@ -89,7 +88,7 @@ def check_workers(workers: int) -> None:
         raise GuardError(f"worker count must be <= {MAX_WORKERS}, got {workers}")
 
 
-def _mapped(fn: Callable[[T], R], items: Iterator[T], workers: int) -> Iterator[R]:
+def _mapped(fn: Callable[[T], R], items: Iterator[T], workers: int) -> Generator[R, None, None]:
     """The results of ``ordered_map``: here until the budget is spent, then
     from a pool when two or more items remain."""
     spent = 0.0
@@ -129,7 +128,7 @@ class _Workers:
     def __init__(self, fn: Callable[[Any], Any], processes: int) -> None:
         import pickle  # noqa: F401  imported before the forks, so every worker inherits it
 
-        self._children: list[tuple[int, int, int]] = []  # (pid, task fd, result fd)
+        self._children: list[tuple[int, BinaryIO, BinaryIO]] = []  # (pid, tasks, results)
         try:
             for _ in range(processes):
                 self._fork(fn)
@@ -155,12 +154,14 @@ class _Workers:
             code = 1
             try:
                 # a sibling's pipe end held open here would hide its end of file
-                for _, other_task, other_result in self._children:
-                    os.close(other_task)
-                    os.close(other_result)
+                for child in self._children:
+                    _close(child)
                 os.close(task_w)
                 os.close(result_r)
-                _serve(fn, task_r, result_w)
+                with open(task_r, "rb") as tasks, open(result_w, "wb") as results:
+                    _serve(fn, tasks, results)
+                code = 0
+            except BrokenPipeError:  # the parent left the map while an item ran
                 code = 0
             except Exception:
                 import traceback
@@ -171,11 +172,12 @@ class _Workers:
                 os._exit(code)
         os.close(task_r)
         os.close(result_w)
-        self._children.append((pid, task_w, result_r))
+        self._children.append((pid, open(task_w, "wb"), open(result_r, "rb")))
 
     def in_order(self, items: Iterator[Any], window: int, start: int) -> Iterator[Any]:
         """``fn(item)`` for each item, in order, with at most ``window`` items
         sent but not yet yielded; the first item is item ``start`` of the map."""
+        import pickle
         import select
 
         poll = select.poll()
@@ -189,13 +191,13 @@ class _Workers:
                 item = next(items, _END)
                 if item is not _END:
                     child = idle.pop()
-                    _, task_w, result_r = child
+                    _, tasks, results = child
                     try:
-                        _send(task_w, item)
+                        _send(tasks, item)
                     except BrokenPipeError:
                         raise RuntimeError(self._obituary(child, sent)) from None
-                    holding[result_r] = child, sent
-                    poll.register(result_r, select.POLLIN)
+                    holding[results.fileno()] = child, sent
+                    poll.register(results, select.POLLIN)
                     sent += 1
             if yielded in done:
                 value, text = done.pop(yielded)
@@ -210,17 +212,16 @@ class _Workers:
                     child, index = holding.pop(fd)
                     poll.unregister(fd)
                     try:
-                        done[index] = _receive(fd)
-                    except EOFError:
+                        done[index] = pickle.load(child[2])
+                    except (EOFError, pickle.UnpicklingError):  # none, or cut off
                         raise RuntimeError(self._obituary(child, index)) from None
                     idle.append(child)
 
-    def _obituary(self, child: tuple[int, int, int], index: int) -> str:
+    def _obituary(self, child: tuple[int, BinaryIO, BinaryIO], index: int) -> str:
         """Reap the dead worker ``child`` and say which item it did not return."""
-        pid, task_w, result_r = child
+        pid = child[0]
         _, status = os.waitpid(pid, 0)
-        os.close(task_w)
-        os.close(result_r)
+        _close(child)
         self._children.remove(child)
         return (f"pool worker {pid} exited with code {os.waitstatus_to_exitcode(status)} "
                 f"before returning item {index}")
@@ -228,22 +229,32 @@ class _Workers:
     def close(self) -> None:
         """Close every pipe, then wait for every worker to exit: an idle one
         reads end of file, and a busy one finishes its item and fails to send it."""
-        for _, task_w, result_r in self._children:
-            os.close(task_w)
-            os.close(result_r)
+        for child in self._children:
+            _close(child)
         for pid, _, _ in self._children:
             os.waitpid(pid, 0)
         self._children = []
 
 
-def _serve(fn: Callable[[Any], Any], task_r: int, result_w: int) -> None:
-    """A worker's loop: apply ``fn`` to each item read from ``task_r`` and
-    send back the result, or the exception with its traceback text, until
-    the parent closes either pipe."""
+def _close(child: tuple[int, BinaryIO, BinaryIO]) -> None:
+    """Close the two pipe files of ``child``, dropping whatever part of an
+    item a dead worker left unsent."""
+    _, tasks, results = child
+    results.close()
+    with suppress(BrokenPipeError):
+        tasks.close()
+
+
+def _serve(fn: Callable[[Any], Any], tasks: BinaryIO, results: BinaryIO) -> None:
+    """A worker's loop: send back ``fn(item)``, or the exception with its
+    traceback text, for each item read from ``tasks`` until the parent closes
+    it, perhaps part-way through an item that did not pickle."""
+    import pickle
+
     while True:
         try:
-            item = _receive(task_r)
-        except EOFError:
+            item = pickle.load(tasks)
+        except (EOFError, pickle.UnpicklingError):
             return
         try:
             message = fn(item), None
@@ -251,34 +262,11 @@ def _serve(fn: Callable[[Any], Any], task_r: int, result_w: int) -> None:
             import traceback
 
             message = exc, traceback.format_exc()
-        try:
-            _send(result_w, message)
-        except BrokenPipeError:  # the parent left the map while this item ran
-            return
+        _send(results, message)
 
 
-def _send(fd: int, obj: Any) -> None:
+def _send(file: BinaryIO, obj: Any) -> None:
     import pickle
 
-    data = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(_HEADER, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive(fd: int) -> Any:
-    """The next message on ``fd``; ``EOFError`` if the writer closed it first."""
-    import pickle
-
-    return pickle.loads(_read(fd, int.from_bytes(_read(fd, _HEADER), "little")))
-
-
-def _read(fd: int, size: int) -> bytes:
-    parts = []
-    while size:
-        part = os.read(fd, size)
-        if not part:
-            raise EOFError
-        parts.append(part)
-        size -= len(part)
-    return b"".join(parts)
+    pickle.dump(obj, file, pickle.HIGHEST_PROTOCOL)
+    file.flush()

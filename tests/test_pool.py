@@ -1,5 +1,7 @@
 import os
+import random
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -114,8 +116,16 @@ class TestOrderedMap:
         assert {pid for _, pid in mapped[1:]} == (set(forked) or {parent})
 
 
-def run_python(code: str) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, timeout=60)
+def run_python(code: str, *options: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *options, "-c", code], capture_output=True,
+                          timeout=60)
+
+
+class DiesWhenPickled:
+    """A value whose pickling ends the process with exit code 3."""
+
+    def __reduce__(self):
+        os._exit(3)
 
 
 class TestForkedWorkers:
@@ -170,6 +180,97 @@ class TestForkedWorkers:
         with pytest.raises(RuntimeError, match=r"exited with code 3 before returning item 5$"):
             with ordered_map(dies_at_5, range(20), 2) as results:
                 list(results)
+
+    def test_a_worker_that_dies_while_sending_its_result_is_named(self):
+        # the 1 MiB reaches the parent before the worker dies, so the parent
+        # reads a cut-off result rather than none
+        def dies_at_5(i):
+            return (b"x" * 2**20, DiesWhenPickled()) if i == 5 else i
+
+        with pytest.raises(RuntimeError, match=r"^pool worker \d+ exited with code 3 "
+                                               r"before returning item 5$"):
+            with ordered_map(dies_at_5, range(20), 2) as results:
+                list(results)
+
+    def test_a_result_that_does_not_pickle_is_named(self):
+        def unpicklable_at_5(i):
+            return (b"x" * 2**20, lambda: i) if i == 5 else i
+
+        with pytest.raises(RuntimeError, match=r"^pool worker \d+ exited with code 1 "
+                                               r"before returning item 5$"):
+            with ordered_map(unpicklable_at_5, range(20), 2) as results:
+                list(results)
+
+    def test_a_worker_that_dies_idle_is_named_when_sent_an_item(self):
+        # each worker dies of SIGALRM 0.3 s after its last item began, so
+        # both are dead once the items pause; the next send breaks its pipe
+        parent = os.getpid()
+
+        def dies_when_idle(i):
+            if os.getpid() != parent:
+                signal.signal(signal.SIGALRM, signal.SIG_DFL)
+                signal.setitimer(signal.ITIMER_REAL, 0.3)
+            return i
+
+        def pausing():
+            yield from range(4)
+            time.sleep(1)
+            yield from range(4, 10)
+
+        with pytest.raises(RuntimeError, match=rf"^pool worker \d+ exited with code "
+                                               rf"-{int(signal.SIGALRM)} before returning item 4$"):
+            with ordered_map(dies_when_idle, pausing(), 2) as results:
+                list(results)
+
+    def test_messages_larger_than_a_pipe_come_back_whole_and_in_order(self, forked):
+        # each item and result is 1 MiB, many times a 64 KiB pipe buffer, so
+        # every read must wait for the rest of its pickle
+        items = [random.Random(i).randbytes(2**20) for i in range(6)]
+        with ordered_map(lambda data: data[::-1], items, 2) as results:
+            assert list(results) == [data[::-1] for data in items]
+        assert len(forked) == 2
+
+    def test_an_item_that_does_not_pickle_is_raised_here_and_workers_exit_quietly(self):
+        # the item's first 1 MiB may reach a worker before its pickling fails
+        proc = run_python(
+            "import p4hat.pool\n"
+            "from p4hat.pool import ordered_map\n"
+            "p4hat.pool.FORK_BUDGET_S = 0\n"
+            "items = [0, 1, (b'x' * 2**20, lambda: 0)]\n"
+            "try:\n"
+            "    with ordered_map(str, items, 2) as results:\n"
+            "        list(results)\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__)\n",
+            "-X", "dev", "-W", "error",
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == b"PicklingError\n"
+        assert proc.stderr == b""
+
+    def test_no_pipe_file_is_left_open(self):
+        # a map read to its end, one left early and one whose worker died
+        proc = run_python(
+            "import os\n"
+            "import p4hat.pool\n"
+            "from p4hat.pool import ordered_map\n"
+            "p4hat.pool.FORK_BUDGET_S = 0\n"
+            "def dies_at_5(i):\n"
+            "    if i == 5:\n"
+            "        os._exit(3)\n"
+            "    return i\n"
+            "with ordered_map(abs, range(10), 3) as results:\n"
+            "    assert list(results) == list(range(10))\n"
+            "with ordered_map(abs, range(1000), 3) as results:\n"
+            "    assert next(results) == 0\n"
+            "try:\n"
+            "    with ordered_map(dies_at_5, range(20), 2) as results:\n"
+            "        list(results)\n"
+            "except RuntimeError:\n"
+            "    print('died')\n",
+            "-X", "dev", "-W", "error",
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"died\n", b"")
 
     @pytest.mark.parametrize("read", [1, 40])
     def test_leaving_early_reaps_every_worker(self, forked, read):
