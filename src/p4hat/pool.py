@@ -7,9 +7,11 @@ runs its items here until they have spent ``FORK_BUDGET_S`` in ``fn``, about
 what starting the workers costs, and only then forks for the rest (the
 ski-rental rule: no map pays much more than twice what the better of the
 two choices would have cost it).  So a map that one process finishes
-quickly forks nothing.  The parent forks its workers with ``os.fork``; the
-program starts no threads, so a fork copies a consistent interpreter.  A
-worker inherits ``fn`` through the fork, so only items and results cross
+quickly forks nothing.  One generator, ``_forked``, starts the workers
+with ``os.fork`` (the program starts no threads, so a fork copies a
+consistent interpreter), feeds them and reaps them: however the map ends,
+its one ``finally`` closes every pipe and waits for every worker.  A worker
+inherits ``fn`` through the fork, so only items and results cross
 its two buffered pipe files, each as one ``pickle.dump`` and a flush that
 ``pickle.load`` reads back whole.  The parent sends an item only to an idle
 worker, so neither side ever blocks on a full pipe while the other waits
@@ -60,11 +62,13 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T],
     exited.  A pool holds at most ``IN_FLIGHT_PER_PROCESS`` items per
     process sent but not yet yielded, so an endless ``items`` is never read
     into memory.  An exception raised by ``fn`` is raised here at its item's
-    turn; one raised in a worker is caused by the worker's traceback text.
-    Leaving the context early runs or sends no further item; items running
-    in workers finish, and the parent waits for every worker to exit.  Every
-    item and result sent to a worker must pickle, and crosses its pipe as one
-    pickle while the worker holds no other item and owes no other result.
+    turn; one raised in a worker is caused by the worker's traceback text,
+    and comes as a ``RuntimeError`` naming it if it would not unpickle as
+    itself.  Leaving the context early runs or sends no further item.  One
+    generator forks, feeds and reaps the workers: however the map ends,
+    items running in workers finish and the parent waits for every worker.
+    Every item and result sent to a worker must pickle, and crosses its pipe
+    as one pickle while the worker holds no other item and owes no other result.
     """
     check_workers(workers)
     return closing(_mapped(fn, iter(items), workers))
@@ -90,7 +94,7 @@ def check_workers(workers: int) -> None:
 
 def _mapped(fn: Callable[[T], R], items: Iterator[T], workers: int) -> Generator[R, None, None]:
     """The results of ``ordered_map``: here until the budget is spent, then
-    from a pool when two or more items remain."""
+    from forked workers when two or more items remain."""
     spent = 0.0
     here = 0  # items mapped here so far
     while spent < FORK_BUDGET_S:
@@ -106,12 +110,8 @@ def _mapped(fn: Callable[[T], R], items: Iterator[T], workers: int) -> Generator
     processes = min(workers, len(ahead))
     if processes <= 1:
         yield from map(fn, chain(ahead, items))
-        return
-    pool = _Workers(fn, processes)
-    try:
-        yield from pool.in_order(chain(ahead, items), IN_FLIGHT_PER_PROCESS * processes, here)
-    finally:
-        pool.close()
+    else:
+        yield from _forked(fn, chain(ahead, items), processes, here)
 
 
 class WorkerTraceback(Exception):
@@ -119,75 +119,42 @@ class WorkerTraceback(Exception):
 
 
 _END = object()
+_Child = tuple[int, BinaryIO, BinaryIO]  # a worker's pid, task file and result file
 
 
-class _Workers:
-    """``processes`` forked children, each applying ``fn`` to the items the
-    parent sends it, one at a time."""
+def _forked(fn: Callable[[T], R], items: Iterator[T], processes: int,
+            start: int) -> Generator[R, None, None]:
+    """``fn(item)`` for each item, in order, from ``processes`` forked
+    workers; the first item is item ``start`` of the map.  However it ends,
+    the ``finally`` closes every pipe, then waits for every worker."""
+    import pickle  # imported before the forks, so every worker inherits it
+    import select
 
-    def __init__(self, fn: Callable[[Any], Any], processes: int) -> None:
-        import pickle  # noqa: F401  imported before the forks, so every worker inherits it
+    children: list[_Child] = []
 
-        self._children: list[tuple[int, BinaryIO, BinaryIO]] = []  # (pid, tasks, results)
-        try:
-            for _ in range(processes):
-                self._fork(fn)
-        except OSError as exc:  # out of open files or processes: a guard, not a crash
-            started = len(self._children)
-            self.close()
-            raise GuardError(f"could not start pool worker {started + 1} of {processes}: "
-                             f"{exc}") from None
-        except BaseException:
-            self.close()
-            raise
+    def obituary(child: _Child, index: int) -> str:
+        """Reap the dead worker ``child`` and say which item it did not return."""
+        _, status = os.waitpid(child[0], 0)
+        _close(child)
+        children.remove(child)
+        return (f"pool worker {child[0]} exited with code {os.waitstatus_to_exitcode(status)} "
+                f"before returning item {index}")
 
-    def _fork(self, fn: Callable[[Any], Any]) -> None:
-        task_r, task_w = os.pipe()
-        result_r, result_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (task_r, task_w, result_r, result_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            code = 1
+    try:
+        for _ in range(processes):
             try:
-                # a sibling's pipe end held open here would hide its end of file
-                for child in self._children:
-                    _close(child)
-                os.close(task_w)
-                os.close(result_r)
-                with open(task_r, "rb") as tasks, open(result_w, "wb") as results:
-                    _serve(fn, tasks, results)
-                code = 0
-            except BrokenPipeError:  # the parent left the map while an item ran
-                code = 0
-            except Exception:
-                import traceback
-
-                traceback.print_exc()
-            finally:
-                # no atexit handler and no flush of buffers copied from the parent
-                os._exit(code)
-        os.close(task_r)
-        os.close(result_w)
-        self._children.append((pid, open(task_w, "wb"), open(result_r, "rb")))
-
-    def in_order(self, items: Iterator[Any], window: int, start: int) -> Iterator[Any]:
-        """``fn(item)`` for each item, in order, with at most ``window`` items
-        sent but not yet yielded; the first item is item ``start`` of the map."""
-        import pickle
-        import select
-
+                children.append(_fork(fn, children))
+            except OSError as exc:  # out of open files or processes: a guard, not a crash
+                raise GuardError(f"could not start pool worker {len(children) + 1} of "
+                                 f"{processes}: {exc}") from None
         poll = select.poll()
-        idle = list(self._children)
+        idle = list(children)
         holding = {}  # result fd -> (child, index of the item it holds)
         done = {}  # index -> (result or exception, traceback text or None)
         sent = yielded = start
         item = None
         while True:
-            while idle and item is not _END and sent - yielded < window:
+            while idle and item is not _END and sent - yielded < IN_FLIGHT_PER_PROCESS * processes:
                 item = next(items, _END)
                 if item is not _END:
                     child = idle.pop()
@@ -195,7 +162,7 @@ class _Workers:
                     try:
                         _send(tasks, item)
                     except BrokenPipeError:
-                        raise RuntimeError(self._obituary(child, sent)) from None
+                        raise RuntimeError(obituary(child, sent)) from None
                     holding[results.fileno()] = child, sent
                     poll.register(results, select.POLLIN)
                     sent += 1
@@ -214,29 +181,55 @@ class _Workers:
                     try:
                         done[index] = pickle.load(child[2])
                     except (EOFError, pickle.UnpicklingError):  # none, or cut off
-                        raise RuntimeError(self._obituary(child, index)) from None
+                        raise RuntimeError(obituary(child, index)) from None
                     idle.append(child)
-
-    def _obituary(self, child: tuple[int, BinaryIO, BinaryIO], index: int) -> str:
-        """Reap the dead worker ``child`` and say which item it did not return."""
-        pid = child[0]
-        _, status = os.waitpid(pid, 0)
-        _close(child)
-        self._children.remove(child)
-        return (f"pool worker {pid} exited with code {os.waitstatus_to_exitcode(status)} "
-                f"before returning item {index}")
-
-    def close(self) -> None:
-        """Close every pipe, then wait for every worker to exit: an idle one
-        reads end of file, and a busy one finishes its item and fails to send it."""
-        for child in self._children:
+    finally:
+        for child in children:
             _close(child)
-        for pid, _, _ in self._children:
+        for pid, _, _ in children:
             os.waitpid(pid, 0)
-        self._children = []
 
 
-def _close(child: tuple[int, BinaryIO, BinaryIO]) -> None:
+def _fork(fn: Callable[[Any], Any], siblings: list[_Child]) -> _Child:
+    """Fork a worker that applies ``fn`` to each item it reads.  Its four
+    pipe descriptors are opened here, and closed here if a pipe or the fork
+    fails; after the fork each side closes the two ends it does not use."""
+    fds: list[int] = []
+    try:
+        fds += os.pipe()
+        fds += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        raise
+    task_r, task_w, result_r, result_w = fds
+    if pid:
+        os.close(task_r)
+        os.close(result_w)
+        return pid, open(task_w, "wb"), open(result_r, "rb")
+    code = 1
+    try:
+        # a sibling's pipe end held open here would hide its end of file
+        for sibling in siblings:
+            _close(sibling)
+        os.close(task_w)
+        os.close(result_r)
+        with open(task_r, "rb") as tasks, open(result_w, "wb") as results:
+            _serve(fn, tasks, results)
+        code = 0
+    except BrokenPipeError:  # the parent left the map while an item ran
+        code = 0
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+    finally:
+        # no atexit handler and no flush of buffers copied from the parent
+        os._exit(code)
+
+
+def _close(child: _Child) -> None:
     """Close the two pipe files of ``child``, dropping whatever part of an
     item a dead worker left unsent."""
     _, tasks, results = child
@@ -262,6 +255,10 @@ def _serve(fn: Callable[[Any], Any], tasks: BinaryIO, results: BinaryIO) -> None
             import traceback
 
             message = exc, traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+            except Exception:  # it would not arrive as itself: send its type and text
+                message = RuntimeError(f"{type(exc).__qualname__}: {exc}"), message[1]
         _send(results, message)
 
 

@@ -286,17 +286,10 @@ def pool_sizes(monkeypatch) -> list[int]:
     pool at once."""
     requested: list[int] = []
 
-    class InProcessWorkers:
-        def __init__(self, fn, processes):
-            requested.append(processes)
-            self.fn = fn
+    def in_process(fn, items, processes, start):
+        requested.append(processes)
+        return map(fn, items)
 
-        def in_order(self, items, window, start):
-            return map(self.fn, items)
-
-        def close(self):
-            pass
-
-    monkeypatch.setattr(pool, "_Workers", InProcessWorkers)
+    monkeypatch.setattr(pool, "_forked", in_process)
     monkeypatch.setattr(pool, "FORK_BUDGET_S", 0)
     return requested

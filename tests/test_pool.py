@@ -128,6 +128,14 @@ class DiesWhenPickled:
         os._exit(3)
 
 
+class Bad(Exception):
+    """An exception that pickles but does not unpickle: its ``__init__``
+    takes two arguments and passes one on."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
 class TestForkedWorkers:
     @pytest.fixture(autouse=True)
     def fork_at_once(self, monkeypatch):
@@ -145,6 +153,19 @@ class TestForkedWorkers:
                 next(results)
         assert isinstance(info.value.__cause__, WorkerTraceback)
         assert "in guarded" in str(info.value.__cause__)
+
+    def test_an_exception_that_does_not_unpickle_is_named(self):
+        def bad_at_3(i):
+            if i == 3:
+                raise Bad(f"item {i} is bad", None)
+            return i
+
+        with ordered_map(bad_at_3, range(10), 2) as results:
+            assert [next(results) for _ in range(3)] == [0, 1, 2]
+            with pytest.raises(RuntimeError, match=r"\bBad: item 3 is bad$") as info:
+                next(results)
+        assert isinstance(info.value.__cause__, WorkerTraceback)
+        assert "in bad_at_3" in str(info.value.__cause__)
 
     def test_dead_worker_raises_a_named_error(self):
         proc = run_python(
@@ -271,6 +292,39 @@ class TestForkedWorkers:
             "-X", "dev", "-W", "error",
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"died\n", b"")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_a_pool_the_open_file_limit_stops_leaves_no_descriptor_open(self):
+        # each soft limit stops the pool at a different pipe of a different
+        # worker, until one lets all four workers start
+        proc = run_python(
+            "import os, pickle, resource, select\n"
+            "import p4hat.pool\n"
+            "from p4hat import GuardError\n"
+            "from p4hat.pool import ordered_map\n"
+            "p4hat.pool.FORK_BUDGET_S = 0\n"
+            "soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)\n"
+            "top = max(map(int, os.listdir('/proc/self/fd')))\n"
+            "for limit in range(top + 1, top + 16):\n"
+            "    before = sorted(os.listdir('/proc/self/fd'))\n"
+            "    resource.setrlimit(resource.RLIMIT_NOFILE, (limit, hard))\n"
+            "    try:\n"
+            "        with ordered_map(abs, range(10), 4) as results:\n"
+            "            assert list(results) == list(range(10))\n"
+            "        print('mapped')\n"
+            "    except GuardError as exc:\n"
+            "        print(str(exc).split(':')[0])\n"
+            "    finally:\n"
+            "        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))\n"
+            "    assert sorted(os.listdir('/proc/self/fd')) == before, limit\n",
+            "-X", "dev", "-W", "error",
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stderr == b""
+        lines = proc.stdout.decode().splitlines()
+        stopped = {line for line in lines if line.startswith("could not start pool worker ")}
+        assert stopped == {f"could not start pool worker {k} of 4" for k in range(1, 5)}
+        assert lines[-1] == "mapped"
 
     @pytest.mark.parametrize("read", [1, 40])
     def test_leaving_early_reaps_every_worker(self, forked, read):
