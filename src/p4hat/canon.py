@@ -23,7 +23,7 @@ vertices a guard trips rather than letting the search degrade.
 
 from __future__ import annotations
 
-from .graphs import Graph, GuardError, _bits, encode_graph6, from_edges
+from .graphs import Graph, GuardError, _bits, _edge_pairs, encode_graph6
 
 CANON_MAX_VERTICES = 12
 
@@ -103,14 +103,12 @@ def canonical_form(g: Graph) -> bytes:
             used[v] = False
 
     dfs(0)
-    perm = best_perm
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if adj[perm[i]] >> perm[j] & 1
-    ]
-    return encode_graph6(from_edges(n, edges))
+    position = {v: i for i, v in enumerate(best_perm)}
+    rows = [0] * n
+    for u, v in _edge_pairs(adj):
+        rows[position[u]] |= 1 << position[v]
+        rows[position[v]] |= 1 << position[u]
+    return encode_graph6(Graph(n, tuple(rows)))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -55,6 +55,17 @@ def _bits(x: int) -> Iterator[int]:
         x ^= b
 
 
+def _edge_pairs(adj: tuple[int, ...]) -> Iterator[Edge]:
+    """Each edge (u, v), u < v, in lexicographic order: the one upper-triangle
+    walk.  It inlines ``_bits``, since a generator per row slows every caller."""
+    for u, row in enumerate(adj):
+        row = row >> (u + 1) << (u + 1)
+        while row:
+            b = row & -row
+            yield u, b.bit_length() - 1
+            row ^= b
+
+
 class Graph:
     """Simple undirected graph: vertex count plus per-vertex neighbor masks.
 
@@ -108,12 +119,7 @@ class Graph:
 
     def edges(self) -> list[Edge]:
         """All edges as (u, v) pairs with u < v, in lexicographic order."""
-        out = []
-        for u in range(self.n):
-            row = self.adj[u] >> (u + 1)
-            for off in _bits(row):
-                out.append((u, u + 1 + off))
-        return out
+        return list(_edge_pairs(self.adj))
 
     def edge_count(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -149,43 +155,27 @@ def from_edges(n: int, edges: Iterable[Edge]) -> Graph:
 
 def count_triangles(g: Graph) -> int:
     """Number of vertex triples inducing a triangle."""
-    t = 0
     adj = g.adj
-    for u in range(g.n):
-        ru = adj[u]
-        for off in _bits(ru >> (u + 1)):
-            v = u + 1 + off
-            # common neighbors above v close each triangle exactly once
-            above_v = adj[v] >> (v + 1) << (v + 1)
-            t += (ru & above_v).bit_count()
-    return t
+    # common neighbors above v close each triangle exactly once
+    return sum(((adj[u] & adj[v]) >> (v + 1)).bit_count() for u, v in _edge_pairs(adj))
 
 
 def enumerate_triangles(g: Graph) -> list[Triangle]:
     """All triangles as sorted triples, in lexicographic order."""
-    out = []
     adj = g.adj
-    for u in range(g.n):
-        ru = adj[u]
-        for off in _bits(ru >> (u + 1)):
-            v = u + 1 + off
-            above_v = adj[v] >> (v + 1) << (v + 1)
-            for w in _bits(ru & above_v):
-                out.append((u, v, w))
-    return out
+    return [(u, v, v + 1 + off) for u, v in _edge_pairs(adj)
+            for off in _bits((adj[u] & adj[v]) >> (v + 1))]
 
 
 def find_k4(g: Graph) -> tuple[int, int, int, int] | None:
     """Lexicographically least 4-set of vertices inducing a K4, or None."""
     adj = g.adj
-    for a in range(g.n):
-        ra_hi = adj[a] >> (a + 1) << (a + 1)
-        for b in _bits(ra_hi):
-            comm_ab = ra_hi & adj[b] >> (b + 1) << (b + 1)
-            for c in _bits(comm_ab):
-                comm = comm_ab & adj[c] >> (c + 1) << (c + 1)
-                if comm:
-                    return a, b, c, (comm & -comm).bit_length() - 1
+    for a, b in _edge_pairs(adj):
+        comm_ab = (adj[a] & adj[b]) >> (b + 1) << (b + 1)
+        for c in _bits(comm_ab):
+            comm = comm_ab & adj[c] >> (c + 1) << (c + 1)
+            if comm:
+                return a, b, c, (comm & -comm).bit_length() - 1
     return None
 
 
@@ -198,12 +188,10 @@ def edge_minimal_reduction(g: Graph) -> Graph:
     """
     adj = g.adj
     rows = list(adj)
-    for u in range(g.n):
-        for off in _bits(adj[u] >> (u + 1)):
-            v = u + 1 + off
-            if not adj[u] & adj[v]:
-                rows[u] &= ~(1 << v)
-                rows[v] &= ~(1 << u)
+    for u, v in _edge_pairs(adj):
+        if not adj[u] & adj[v]:
+            rows[u] &= ~(1 << v)
+            rows[v] &= ~(1 << u)
     return Graph(g.n, tuple(rows))
 
 

@@ -107,8 +107,6 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .canon import canonical_form
-from .constructions import bipartite_matching
 from .graphs import (
     Graph,
     GuardError,
@@ -181,7 +179,6 @@ def _scan(seed, cand_bits, k, top, first):
     Returns (examined, nodes, hits): ranks covered, detector calls, and the
     hits as (rank, adjacency rows) pairs in colex order.
     """
-    n = len(seed)
     combt = [[comb(m, j) for j in range(k + 1)] for m in range(top + 1)]
     hits: list[tuple[int, tuple[int, ...]]] = []
     examined = nodes = 0
@@ -401,6 +398,7 @@ def exhaustive_oracle(n: int) -> tuple[int, list[Graph]]:
     """
     if not 1 <= n <= EXHAUSTIVE_MAX_VERTICES:
         raise GuardError(f"exhaustive_oracle supports 1 <= n <= {EXHAUSTIVE_MAX_VERTICES}, got {n}")
+    from .canon import canonical_form
     edges = list(combinations(range(n), 2))
     rows = [0] * n
     t = best = 0
@@ -435,7 +433,8 @@ def enumerate_extremal_configs(n: int, ex_value: int, workers: int = 1) -> list[
         raise GuardError(f"config enumeration supports 5 <= n <= {EXTREMAL_MAX_VERTICES}, got {n}")
     if 2 * ex_value < n * n // 4:
         raise GuardError(f"config enumeration needs 2 * ex_value >= {n * n // 4}, got {ex_value}")
-
+    from .canon import canonical_form
+    from .constructions import bipartite_matching
     forms: set[bytes] = set()
     if 2 * ex_value == n * n // 4:
         forced = bipartite_matching(n)

@@ -107,6 +107,11 @@ class TestNeighborhoodStructure:
         with pytest.raises(GuardError):
             neighborhood_structure(bipartite_matching(8), (0, 1, 2, 3))
 
+    @pytest.mark.parametrize("s", [(0, 1, 2, 2), (0, 1, 2, 5), (-1, 0, 1, 2)])
+    def test_rejects_s_not_four_distinct_vertices(self, s):
+        with pytest.raises(GuardError, match="S must be 4 distinct vertices"):
+            neighborhood_structure(complete(5), s)
+
     def test_free_graphs_disjoint_and_path_free(self):
         rng = random.Random(91)
         analyzed = 0

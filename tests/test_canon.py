@@ -78,6 +78,9 @@ def test_are_isomorphic_examples():
     assert are_isomorphic(k4, permuted(k4, rng.sample(range(4), 4)))
     c4 = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert not are_isomorphic(book(2), c4)  # 5 edges vs 4
+    path = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    star = from_edges(4, [(0, 1), (0, 2), (0, 3)])
+    assert not are_isomorphic(path, star)  # 3 edges each; degrees differ
 
 
 def test_fig_n7_is_two_k4s_sharing_a_vertex():

@@ -682,6 +682,21 @@ class TestStartup:
         assert "p4hat.search" in loaded
         assert loaded.isdisjoint({"p4hat.blocks", "p4hat.bounds", "dataclasses"})
 
+    def test_search_loads_no_canon(self):
+        # only the oracle and the config enumeration canonicalize
+        loaded = self.loaded_modules("-m", "p4hat", "search", "--n", "8", "--t", "9")
+        assert "p4hat.search" in loaded
+        assert "p4hat.canon" not in loaded
+
+    @pytest.mark.parametrize("family, n, decomposes", [
+        ("bipartite-matching", "200", False),
+        ("sixteen-vertex", "16", True),
+    ])
+    def test_verify_construction_loads_blocks_only_to_decompose(self, family, n, decomposes):
+        loaded = self.loaded_modules("-m", "p4hat", "verify-construction",
+                                     "--family", family, "--n", n)
+        assert ("p4hat.blocks" in loaded) == decomposes
+
     def test_extremal_n8_forks_no_pool(self):
         # its scans take about 1 ms in all, inside the pool's fork budget
         loaded = self.loaded_modules("-m", "p4hat", "extremal", "--n", "8", "--workers", "2")

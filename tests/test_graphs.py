@@ -104,6 +104,13 @@ class TestFromEdges:
         assert 10_000 < rejected < 19_000
 
 
+def test_equal_graphs_built_two_ways_hash_equal():
+    g = from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    h = Graph(4, (0b1010, 0b0101, 0b1010, 0b0101))
+    assert g == h and hash(g) == hash(h)
+    assert len({g, h, cycle(4)}) == 1
+
+
 class TestTriangles:
     def test_k4(self):
         assert count_triangles(complete(4)) == 4
@@ -357,6 +364,15 @@ class TestGraph6:
 
     def test_accepts_str(self):
         assert decode_graph6("C~") == complete(4)
+
+    @pytest.mark.parametrize("data, message", [
+        (b"", "empty graph6 string"),
+        ("", "empty graph6 string"),
+        (b"?", "graph6 with zero vertices unsupported"),
+    ])
+    def test_decode_empty_or_vertexless(self, data, message):
+        with pytest.raises(Graph6Error, match=f"^{message}$"):
+            decode_graph6(data)
 
     def test_decode_non_ascii(self):
         for data in ("\u00e9", "C\u00e9", b"\xff", b"C\xff", b"\xc3\xa9"):

@@ -108,6 +108,11 @@ class TestSuspension:
         assert not SuspensionWitness(4, (-1, 1, 2, 3)).is_valid_in(k5)
         assert not SuspensionWitness(7, (0, 1, 2, 3)).is_valid_in(k5)
 
+    def test_apex_missing_a_path_vertex_is_invalid(self):
+        g = from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2)])
+        assert not SuspensionWitness(4, (0, 1, 2, 3)).is_valid_in(g)
+        assert SuspensionWitness(4, (0, 1, 2, 3)).is_valid_in(from_edges(5, g.edges() + [(3, 4)]))
+
     def test_witness_structure(self):
         rng = random.Random(54)
         checked = 0

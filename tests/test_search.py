@@ -68,6 +68,10 @@ class TestCandidates:
         assert len(candidate_triangles(5)) == 4
         assert len(excluded_triangles(5)) == 4
 
+    def test_exclusion_needs_five_vertices(self):
+        with pytest.raises(GuardError, match="candidate pruning needs n >= 5, got 4"):
+            excluded_triangles(4)
+
     def test_exclusion_formula(self):
         for n in range(5, 11):
             assert len(excluded_triangles(n)) == 4 * (n - 4)
