@@ -124,6 +124,8 @@ AUDIT_N_MAX = 10**7
 
 
 def _check_audit_range(audit: str, n_min: int, n_max: int) -> None:
+    if isinstance(n_max, bool) or not isinstance(n_max, int):
+        raise GuardError(f"{audit} needs an int n_max, got {n_max!r}")
     if n_max < n_min:
         raise GuardError(f"{audit} needs n_max >= {n_min}, got {n_max}")
     if n_max > AUDIT_N_MAX:

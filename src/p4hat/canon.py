@@ -3,7 +3,8 @@
 The canonical form of a graph is the minimum graph6 encoding over all
 vertex orderings compatible with an iteratively refined degree partition.
 Restricting to partition-respecting orderings is sound because the
-partition is an isomorphism invariant.
+partition is an isomorphism invariant.  The search builds that encoding
+column by column and returns the least stream it built, packed.
 
 Twins are placed once per depth.  Vertices v and w are twins when they
 agree on every other vertex: adj[v] minus w equals adj[w] minus v.  The
@@ -23,7 +24,7 @@ vertices a guard trips rather than letting the search degrade.
 
 from __future__ import annotations
 
-from .graphs import Graph, GuardError, _bits, _edge_pairs, encode_graph6
+from .graphs import Graph, GuardError, _bits, _graph6_bytes
 
 CANON_MAX_VERTICES = 12
 
@@ -53,62 +54,41 @@ def canonical_form(g: Graph) -> bytes:
 
     Searches placements position by position, comparing the adjacency
     column each new vertex contributes against the best stream found so
-    far and pruning anything provably worse.
+    far and pruning anything provably worse.  Each vertex's column is
+    carried down the search, not recomputed.  At the end ``best[k]`` is
+    position k's k-bit column in the least placement, position 0 most
+    significant: graph6's column order, so the form is ``best[1..n-1]``.
     """
     if g.n > CANON_MAX_VERTICES:
         raise GuardError(f"canonical_form supports n <= {CANON_MAX_VERTICES}, got {g.n}")
     n, adj = g.n, g.adj
-    class_at: list[list[int]] = []
-    for cls in _refined_classes(g):
-        class_at.extend([cls] * len(cls))
-
-    twins = [
-        sum(1 << w for w in range(n) if w != v and adj[v] & ~(1 << w) == adj[w] & ~(1 << v))
-        for v in range(n)
-    ]
+    class_at = [cls for cls in _refined_classes(g) for _ in cls]  # position -> its class
+    twins = [sum(1 << w for w in range(n) if w != v and adj[v] & ~(1 << w) == adj[w] & ~(1 << v))
+             for v in range(n)]
+    # above every column, so a branch whose column drops always reaches n
     inf = 1 << n
     best = [inf] * n
-    placed = [0] * n
-    used = [False] * n
-    best_perm: list[int] = []
 
-    def dfs(k: int) -> None:
+    def dfs(k: int, used: int, cols: list[int]) -> None:
         if k == n:
-            best_perm[:] = placed
             return
-        cands = []
-        for v in class_at[k]:
-            if used[v]:
-                continue
-            col = 0
-            av = adj[v]
-            for i in range(k):
-                col = col << 1 | (av >> placed[i] & 1)
-            cands.append((col, v))
-        cands.sort()
         tried = 0
-        for col, v in cands:
+        for col, v in sorted((cols[v], v) for v in class_at[k] if not used >> v & 1):
             if col > best[k]:
                 break
             if twins[v] & tried:
                 continue
             tried |= 1 << v
             if col < best[k]:
-                best[k] = col
-                for j in range(k + 1, n):
-                    best[j] = inf
-            placed[k] = v
-            used[v] = True
-            dfs(k + 1)
-            used[v] = False
+                best[k:] = [col] + [inf] * (n - k - 1)
+            av = adj[v]
+            dfs(k + 1, used | 1 << v, [c << 1 | av >> w & 1 for w, c in enumerate(cols)])
 
-    dfs(0)
-    position = {v: i for i, v in enumerate(best_perm)}
-    rows = [0] * n
-    for u, v in _edge_pairs(adj):
-        rows[position[u]] |= 1 << position[v]
-        rows[position[v]] |= 1 << position[u]
-    return encode_graph6(Graph(n, tuple(rows)))
+    dfs(0, 0, [0] * n)
+    bits = 0
+    for k in range(1, n):
+        bits = bits << k | best[k]
+    return _graph6_bytes(n, bits)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

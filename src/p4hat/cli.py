@@ -79,7 +79,7 @@ def _cmd_document(build: Callable[[argparse.Namespace], Fields],
         out.write("\n")
     else:
         for key, value in doc.items():
-            out.write(f"{key}: {value}\n")
+            out.write(f"{key}: {_listed(value)}\n")
     return EXIT_FOUND if found else EXIT_OK
 
 
@@ -294,9 +294,9 @@ def _check_bounds(args: argparse.Namespace) -> Fields:
         "case_thresholds": {
             "checked_to": cases.n_max,
             "case1_ok": cases.case1_ok,
-            "case1_violations": list(cases.case1_violations),
+            "case1_violations": cases.case1_violations,
             "case2_ok": cases.case2_ok,
-            "case2_violations": list(cases.case2_violations),
+            "case2_violations": cases.case2_violations,
             "cauchy_schwarz_ok": cases.cauchy_schwarz_ok,
         },
         "passed": floors.ok and cases.passed,

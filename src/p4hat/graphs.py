@@ -236,9 +236,10 @@ def neighborhood_subgraph(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
 #     x(0,1), x(0,2), x(1,2), x(0,3), x(1,3), x(2,3), ...
 # packed big-endian into 6-bit groups, each emitted as 63 + group.  The
 # final group is zero-padded.  ``_graph6_pairs`` is the one statement of
-# that bit order: the encoder and the decoder both walk it.  The multi-byte
-# encodings for n > 62 are deliberately unsupported and rejected with
-# Graph6SizeError.
+# that bit order: the encoder and the decoder both walk it.  The one
+# packer is ``_graph6_bytes``: ``encode_graph6`` and ``canonical_form``
+# both hand it the triangle as one integer.  The multi-byte encodings for
+# n > 62 are deliberately unsupported and rejected with Graph6SizeError.
 
 
 def encode_graph6(g: Graph) -> bytes:
@@ -251,6 +252,11 @@ def encode_graph6(g: Graph) -> bytes:
     for i, (_, ubit, v, _) in enumerate(_graph6_pairs(n)):
         if adj[v] & ubit:
             bits |= 1 << i
+    return _graph6_bytes(n, bits)
+
+
+def _graph6_bytes(n: int, bits: int) -> bytes:
+    """Header and body of n vertices whose column-order triangle is ``bits``, MSB first."""
     tri_len = n * (n - 1) // 2
     ngroups = (tri_len + 5) // 6
     bits <<= 6 * ngroups - tri_len

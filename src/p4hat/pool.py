@@ -56,8 +56,8 @@ def ordered_map(fn: Callable[[T], R], items: Iterable[T],
     ``workers`` items are read to size the pool: it gets min(workers, items
     read) processes, and with one process the map goes on here with the
     builtin ``map``, so ``workers == 1`` never forks.  A worker count
-    outside 1..``MAX_WORKERS`` raises ``GuardError`` at once, before any
-    item is read.  A pool that the open-file or process limit keeps from
+    outside the ints 1..``MAX_WORKERS`` raises ``GuardError`` at once, before
+    any item is read.  A pool that the open-file or process limit keeps from
     starting raises ``GuardError`` too, once the workers it did start have
     exited.  A pool holds at most ``IN_FLIGHT_PER_PROCESS`` items per
     process sent but not yet yielded, so an endless ``items`` is never read
@@ -85,7 +85,9 @@ def default_workers() -> int:
 
 
 def check_workers(workers: int) -> None:
-    """Raise ``GuardError`` unless 1 <= workers <= ``MAX_WORKERS``."""
+    """Raise ``GuardError`` unless workers is an int in 1..``MAX_WORKERS``."""
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise GuardError(f"worker count must be an int, got {workers!r}")
     if workers < 1:
         raise GuardError(f"worker count must be >= 1, got {workers}")
     if workers > MAX_WORKERS:

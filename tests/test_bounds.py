@@ -282,3 +282,9 @@ class TestAuditCap:
         for audit in (floor_identity_audit, case_threshold_audit):
             with pytest.raises(GuardError, match=f"{audit.__name__} needs n_max <= 10000000"):
                 audit(10**7 + 1)
+
+    def test_n_max_must_be_an_int(self):
+        for audit in (floor_identity_audit, case_threshold_audit):
+            for n_max in (15.5, 20.5, 25.5, 20.0, True, "20"):
+                with pytest.raises(GuardError, match=f"^{audit.__name__} needs an int n_max, "):
+                    audit(n_max)

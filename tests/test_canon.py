@@ -12,6 +12,7 @@ from p4hat import (
     book,
     canonical_form,
     complete,
+    decode_graph6,
     encode_graph6,
     from_edges,
     small_extremal,
@@ -165,3 +166,27 @@ def test_twin_rule_keeps_the_form_exact():
     graphs += [disjoint_cycles(1, m) for m in range(3, 13)] + [small_extremal(n) for n in range(4, 8)]
     for g in graphs:
         assert canonical_form(g) == reference_canonical_form(g), encode_graph6(g)
+
+
+def test_forms_beyond_the_brute_force_reach_decode_to_the_graph():
+    # n = 10..12 is past what the reference searches finish; networkx's
+    # isomorphism test is an independent route to the same check
+    nx = pytest.importorskip("networkx")
+
+    def as_nx(g: Graph):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges())
+        return h
+
+    rng = random.Random(68)
+    graphs = [random_graph(rng, rng.randint(10, 12), rng.choice((0.2, 0.5, 0.8)))
+              for _ in range(150)]
+    c12_chords = [(i, (i + 1) % 12) for i in range(12)] + [(i, i + 6) for i in range(6)]
+    graphs += [from_edges(12, c12_chords), disjoint_cycles(6, 2), disjoint_cycles(3, 4),
+               disjoint_cycles(2, 6), disjoint_cycles(1, 12)]
+    for g in graphs:
+        form = canonical_form(g)
+        h = decode_graph6(form)
+        assert nx.is_isomorphic(as_nx(g), as_nx(h)), encode_graph6(g)
+        assert canonical_form(h) == form, encode_graph6(g)

@@ -68,6 +68,24 @@ class TestOrderedMap:
                 with ordered_map(str, range(3), workers):
                     pass
 
+    def test_a_count_that_is_not_an_int_raises_before_any_item_is_read(self, pool_sizes):
+        from p4hat.search import counterexample_search, extremal_value
+
+        pulled = []
+        items = (pulled.append(i) or i for i in range(1000))
+        for workers in (2.5, 2.0, True, False, "2", None):
+            with pytest.raises(GuardError, match="^worker count must be an int, got "):
+                with ordered_map(str, items, workers):
+                    pass
+        assert pulled == [] and pool_sizes == []
+        # at either side of the fork budget the answer no longer depends on timing
+        for call in (lambda: counterexample_search(6, 6, workers=2.5),
+                     lambda: counterexample_search(9, 11, workers=2.5),
+                     lambda: extremal_value(8, workers=True)):
+            with pytest.raises(GuardError, match="^worker count must be an int, got "):
+                call()
+        assert pool_sizes == []
+
     def test_worker_cap_raises_before_any_item_is_read(self, pool_sizes):
         pulled = []
         items = (pulled.append(i) or i for i in range(1000))
