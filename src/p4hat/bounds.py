@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .graphs import Graph, GuardError, _bits, enumerate_triangles
+from .graphs import Graph, GuardError, _bits, _check_int, enumerate_triangles
 
 
 class K4NeighborhoodReport(NamedTuple):
@@ -87,8 +87,11 @@ def neighborhood_structure(g: Graph, s: tuple[int, int, int, int]) -> K4Neighbor
     equal sum e(X_i) + 4: ``ts_identity`` compares the two.
     """
     s = tuple(s)
-    if len(set(s)) != 4 or any(not 0 <= v < g.n for v in s):
-        raise GuardError(f"S must be 4 distinct vertices of the graph, got {s}")
+    rule = f"S must be 4 distinct vertices of the graph, got {s}"
+    for v in s:
+        _check_int(f"{rule}: each", v, 0, g.n - 1)
+    if len(s) != 4 or len(set(s)) != 4:
+        raise GuardError(rule)
     adj = g.adj
     smask = sum(1 << v for v in s)
     for v in s:
@@ -123,15 +126,6 @@ def neighborhood_structure(g: Graph, s: tuple[int, int, int, int]) -> K4Neighbor
 AUDIT_N_MAX = 10**7
 
 
-def _check_audit_range(audit: str, n_min: int, n_max: int) -> None:
-    if isinstance(n_max, bool) or not isinstance(n_max, int):
-        raise GuardError(f"{audit} needs an int n_max, got {n_max!r}")
-    if n_max < n_min:
-        raise GuardError(f"{audit} needs n_max >= {n_min}, got {n_max}")
-    if n_max > AUDIT_N_MAX:
-        raise GuardError(f"{audit} needs n_max <= {AUDIT_N_MAX}, got {n_max}")
-
-
 class FloorIdentityReport(NamedTuple):
     n_min: int
     n_max: int
@@ -150,7 +144,7 @@ def floor_identity_audit(n_max: int) -> FloorIdentityReport:
     to both sides of the second, so each holds at n + 8 exactly when it
     holds at n.  The first violation, if there were one, would lie in 12..19.
     """
-    _check_audit_range("floor_identity_audit", 12, n_max)
+    _check_int("floor_identity_audit's n_max", n_max, 12, AUDIT_N_MAX)
     for n in range(12, min(n_max, 19) + 1):
         cap = n * n // 8
         if cap - (n - 1) ** 2 // 8 < n // 4 or cap - (n - 4) ** 2 // 8 != n - 2:
@@ -185,7 +179,7 @@ def case_threshold_audit(n_max: int) -> CaseThresholdReport:
     case 2 to n^2 - 16n + 12 > 0, true for every n >= 16.  By the upper
     bound case 2 needs n^2 - 16n + 24 > 0, false for 2 <= n <= 14.
     """
-    _check_audit_range("case_threshold_audit", 17, n_max)
+    _check_int("case_threshold_audit's n_max", n_max, 17, AUDIT_N_MAX)
     case1_bad = [  # 17 = 2 (mod 3); both sides times 12
         n for n in (17,)
         if not 36 * (n * n // 8 + 1) > 3 * n * n + 26 * n - 61

@@ -24,7 +24,7 @@ vertices a guard trips rather than letting the search degrade.
 
 from __future__ import annotations
 
-from .graphs import Graph, GuardError, _bits, _graph6_bytes
+from .graphs import Graph, _bits, _check_int, _graph6_bytes
 
 CANON_MAX_VERTICES = 12
 
@@ -59,8 +59,7 @@ def canonical_form(g: Graph) -> bytes:
     position k's k-bit column in the least placement, position 0 most
     significant: graph6's column order, so the form is ``best[1..n-1]``.
     """
-    if g.n > CANON_MAX_VERTICES:
-        raise GuardError(f"canonical_form supports n <= {CANON_MAX_VERTICES}, got {g.n}")
+    _check_int("canonical_form's n", g.n, 1, CANON_MAX_VERTICES)
     n, adj = g.n, g.adj
     class_at = [cls for cls in _refined_classes(g) for _ in cls]  # position -> its class
     twins = [sum(1 << w for w in range(n) if w != v and adj[v] & ~(1 << w) == adj[w] & ~(1 << v))

@@ -11,7 +11,7 @@ from itertools import chain, combinations
 from math import comb
 from typing import Callable, NamedTuple
 
-from .graphs import Edge, Graph, GraphError, from_edges
+from .graphs import Edge, Graph, GraphError, _check_int, from_edges
 
 
 def bipartite_matching(n: int) -> Graph:
@@ -23,8 +23,7 @@ def bipartite_matching(n: int) -> Graph:
     unique near-balanced split with an even part.  The matching always goes
     in the first (even) part, pairing lowest indices first.
     """
-    if n < 4:
-        raise GraphError(f"bipartite_matching needs n >= 4, got {n}")
+    _check_int("bipartite_matching's n", n, 4, error=GraphError)
     if n % 4 == 2:
         a = n // 2 - 1
     elif n % 4 == 3:
@@ -39,17 +38,16 @@ def bipartite_matching(n: int) -> Graph:
 
 def small_extremal(n: int) -> Graph:
     """The unique edge-minimal extremal graphs for n in 4..7."""
+    _check_int("small_extremal's n", n, 4, 7, GraphError)
     if n == 4:
         return complete(4)
     if n == 5:
         return from_edges(5, complete(4).edges())
     if n == 6:
         return from_edges(6, complete(4).edges() + [(0, 4), (0, 5), (4, 5)])
-    if n == 7:
-        k4 = complete(4).edges()
-        other = [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
-        return from_edges(7, k4 + other)
-    raise GraphError(f"small_extremal is defined for n in 4..7, got {n}")
+    k4 = complete(4).edges()
+    other = [(0, 4), (0, 5), (0, 6), (4, 5), (4, 6), (5, 6)]
+    return from_edges(7, k4 + other)
 
 
 def sixteen_vertex() -> Graph:
@@ -71,22 +69,19 @@ def sixteen_vertex() -> Graph:
 
 
 def _sixteen_vertex_family(n: int) -> Graph:
-    if n != 16:
-        raise GraphError(f"the sixteen-vertex graph has n = 16, got {n}")
+    _check_int("the sixteen-vertex graph's n", n, 16, 16, GraphError)
     return sixteen_vertex()
 
 
 def book(s: int) -> Graph:
     """s triangles sharing the base edge (0, 1); pages are vertices 2..s+1."""
-    if s < 1:
-        raise GraphError(f"book needs s >= 1, got {s}")
+    _check_int("book's s", s, 1, error=GraphError)
     edges = chain([(0, 1)], ((u, p) for p in range(2, s + 2) for u in (0, 1)))
     return from_edges(s + 2, edges)  # checks s + 2 before any edge is built
 
 
 def complete(k: int) -> Graph:
-    if k < 1:
-        raise GraphError(f"complete needs k >= 1, got {k}")
+    _check_int("complete's k", k, 1, error=GraphError)
     # not combinations(range(k), 2), which would copy range(k) up front
     return from_edges(k, ((u, v) for v in range(k) for u in range(v)))
 

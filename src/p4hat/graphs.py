@@ -47,6 +47,17 @@ class GuardError(ValueError):
     """A resource or size guard was exceeded; raised instead of degrading."""
 
 
+def _check_int(what: str, value: object, lo: int, hi: int | None = None,
+               error: type[ValueError] = GuardError) -> None:
+    """Raise ``error`` naming ``what``, the range and ``value`` unless value
+    is an int, not a bool, in lo..hi (at least lo when hi is None): the one
+    statement of every size, count and vertex guard."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo or (
+            hi is not None and value > hi):
+        rule = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise error(f"{what} must be an int {rule}, got {value!r}")
+
+
 def _bits(x: int) -> Iterator[int]:
     """Yield set-bit indices of x in ascending order."""
     while x:
@@ -83,8 +94,7 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
-        if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_VERTICES:
-            raise VertexCountError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
+        _check_int("vertex count", n, 1, MAX_VERTICES, VertexCountError)
         if len(adj) != n:
             raise GraphError(f"adjacency has {len(adj)} rows for n={n}")
         mirrored = total = 0
@@ -140,8 +150,7 @@ def from_edges(n: int, edges: Iterable[Edge]) -> Graph:
     Raises VertexCountError / VertexRangeError / LoopEdgeError for the
     corresponding invalid inputs.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or not 1 <= n <= MAX_VERTICES:
-        raise VertexCountError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
+    _check_int("vertex count", n, 1, MAX_VERTICES, VertexCountError)
     rows = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -216,8 +225,7 @@ def neighborhood_subgraph(g: Graph, v: int) -> tuple[Graph, tuple[int, ...]]:
     vertex ``i`` of ``h``.  Raises GraphError for an isolated vertex, since
     the empty induced subgraph is not a representable Graph value.
     """
-    if not 0 <= v < g.n:
-        raise VertexRangeError(f"vertex {v} out of range 0..{g.n - 1}")
+    _check_int("vertex", v, 0, g.n - 1, VertexRangeError)
     labels = tuple(_bits(g.adj[v]))
     if not labels:
         raise GraphError(f"vertex {v} is isolated; its neighborhood subgraph is empty")

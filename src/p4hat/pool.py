@@ -29,7 +29,7 @@ from itertools import chain, islice
 from time import perf_counter
 from typing import Any, BinaryIO, Callable, Generator, Iterable, Iterator, TypeVar
 
-from .graphs import GuardError
+from .graphs import GuardError, _check_int
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -86,12 +86,7 @@ def default_workers() -> int:
 
 def check_workers(workers: int) -> None:
     """Raise ``GuardError`` unless workers is an int in 1..``MAX_WORKERS``."""
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise GuardError(f"worker count must be an int, got {workers!r}")
-    if workers < 1:
-        raise GuardError(f"worker count must be >= 1, got {workers}")
-    if workers > MAX_WORKERS:
-        raise GuardError(f"worker count must be <= {MAX_WORKERS}, got {workers}")
+    _check_int("worker count", workers, 1, MAX_WORKERS)
 
 
 def _mapped(fn: Callable[[T], R], items: Iterator[T], workers: int) -> Generator[R, None, None]:

@@ -109,8 +109,8 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graphs import (
     Graph,
-    GuardError,
     Triangle,
+    _check_int,
     count_triangles,
     decode_graph6,
     edge_minimal_reduction,
@@ -136,8 +136,7 @@ def excluded_triangles(n: int) -> list[Triangle]:
     """Triangles pruned next to the fixed pair: an edge in {02,03,12,13} plus
     a vertex outside the fixed-pair support always forces the forbidden
     pattern (4(n-4) triples; 16 for n = 8)."""
-    if n < 5:
-        raise GuardError(f"candidate pruning needs n >= 5, got {n}")
+    _check_int("candidate pruning's n", n, 5)
     out = []
     for tri in combinations(range(n), 3):
         if tri in FIXED_TRIANGLES:
@@ -335,10 +334,8 @@ def counterexample_search(
     ``graphs_examined`` is then the number of ranks up to and including it.
     The report is identical for every worker count.
     """
-    if not 5 <= n <= SEARCH_MAX_VERTICES:
-        raise GuardError(f"counterexample_search supports 5 <= n <= {SEARCH_MAX_VERTICES}, got {n}")
-    if t < 3:
-        raise GuardError(f"target triangle count must be >= 3, got {t}")
+    _check_int("counterexample_search's n", n, 5, SEARCH_MAX_VERTICES)
+    _check_int("counterexample_search's t", t, 3)
 
     [(examined, nodes, hits)] = _scan_seeds([_pair_seed(n, t)], True, workers, progress)
     if hits:
@@ -374,10 +371,8 @@ def certify_upper_bound(n: int, t: int, workers: int = 1) -> CertificateReport:
     bound the route would miss K4-free graphs, so t <= floor(n^2/8) raises
     ``GuardError``.
     """
-    if not 4 <= n <= SEARCH_MAX_VERTICES:
-        raise GuardError(f"certify_upper_bound supports 4 <= n <= {SEARCH_MAX_VERTICES}, got {n}")
-    if t <= n * n // 8:
-        raise GuardError(f"the K4 route needs t > floor(n^2/8) = {n * n // 8}, got {t}")
+    _check_int("certify_upper_bound's n", n, 4, SEARCH_MAX_VERTICES)
+    _check_int("t (the K4 route needs t > floor(n^2/8))", t, n * n // 8 + 1)
     scans = _k4_seeds(n, t)
     results = _scan_seeds(scans, True, workers)
     seeds = tuple(Graph(n, rows) for rows, _, _ in scans)
@@ -396,8 +391,7 @@ def exhaustive_oracle(n: int) -> tuple[int, list[Graph]]:
     Maximizers are reduced to edge-minimal form and deduplicated by
     canonical form.
     """
-    if not 1 <= n <= EXHAUSTIVE_MAX_VERTICES:
-        raise GuardError(f"exhaustive_oracle supports 1 <= n <= {EXHAUSTIVE_MAX_VERTICES}, got {n}")
+    _check_int("exhaustive_oracle's n", n, 1, EXHAUSTIVE_MAX_VERTICES)
     from .canon import canonical_form
     edges = list(combinations(range(n), 2))
     rows = [0] * n
@@ -429,10 +423,9 @@ def enumerate_extremal_configs(n: int, ex_value: int, workers: int = 1) -> list[
     freedom from the pattern are checked (module docstring,
     "Configurations").
     """
-    if not 5 <= n <= EXTREMAL_MAX_VERTICES:
-        raise GuardError(f"config enumeration supports 5 <= n <= {EXTREMAL_MAX_VERTICES}, got {n}")
-    if 2 * ex_value < n * n // 4:
-        raise GuardError(f"config enumeration needs 2 * ex_value >= {n * n // 4}, got {ex_value}")
+    _check_int("enumerate_extremal_configs's n", n, 5, EXTREMAL_MAX_VERTICES)
+    _check_int("ex_value (configurations need 2 * ex_value >= floor(n^2/4))", ex_value,
+               (n * n // 4 + 1) // 2)
     from .canon import canonical_form
     from .constructions import bipartite_matching
     forms: set[bytes] = set()
@@ -457,8 +450,7 @@ def extremal_value(n: int, workers: int = 1) -> tuple[int, list[Graph]]:
     configurations are ``enumerate_extremal_configs(n, b)``, which must not
     be empty, so ex(n) = b.
     """
-    if not 1 <= n <= EXTREMAL_MAX_VERTICES:
-        raise GuardError(f"extremal_value supports 1 <= n <= {EXTREMAL_MAX_VERTICES}, got {n}")
+    _check_int("extremal_value's n", n, 1, EXTREMAL_MAX_VERTICES)
     check_workers(workers)
     if n <= EXHAUSTIVE_MAX_VERTICES:
         return exhaustive_oracle(n)

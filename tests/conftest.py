@@ -105,7 +105,7 @@ def reference_validate(n, adj) -> None:
     vertex, then every set bit's mirror.  Oracle for the one-pass check
     on non-negative rows."""
     if not isinstance(n, int) or not 1 <= n <= MAX_VERTICES:
-        raise VertexCountError(f"vertex count must be in 1..{MAX_VERTICES}, got {n!r}")
+        raise VertexCountError(f"vertex count must be an int in 1..{MAX_VERTICES}, got {n!r}")
     if len(adj) != n:
         raise GraphError(f"adjacency has {len(adj)} rows for n={n}")
     full = (1 << n) - 1

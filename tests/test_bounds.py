@@ -1,10 +1,12 @@
 import random
+import re
 from itertools import combinations, product
 
 import pytest
 
 from p4hat import (
     GuardError,
+    VertexRangeError,
     bipartite_matching,
     case_threshold_audit,
     complete,
@@ -12,6 +14,7 @@ from p4hat import (
     floor_identity_audit,
     from_edges,
     neighborhood_structure,
+    neighborhood_subgraph,
     sixteen_vertex,
     small_extremal,
 )
@@ -107,7 +110,7 @@ class TestNeighborhoodStructure:
         with pytest.raises(GuardError):
             neighborhood_structure(bipartite_matching(8), (0, 1, 2, 3))
 
-    @pytest.mark.parametrize("s", [(0, 1, 2, 2), (0, 1, 2, 5), (-1, 0, 1, 2)])
+    @pytest.mark.parametrize("s", [(0, 1, 2, 2), (0, 1, 2, 5), (-1, 0, 1, 2), (0, 1, 2, 3, 3)])
     def test_rejects_s_not_four_distinct_vertices(self, s):
         with pytest.raises(GuardError, match="S must be 4 distinct vertices"):
             neighborhood_structure(complete(5), s)
@@ -151,6 +154,24 @@ class TestNeighborhoodStructure:
             assert rep.disjoint
             assert all(rep.x_p4_free)
             assert rep.ts_identity == "holds"
+
+
+# a vertex argument is an int, not a bool or a float, in 0..n-1
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: neighborhood_subgraph(complete(5), True), VertexRangeError,
+     "vertex must be an int in 0..4, got True"),
+    (lambda: neighborhood_subgraph(complete(5), 1.0), VertexRangeError,
+     "vertex must be an int in 0..4, got 1.0"),
+    (lambda: neighborhood_structure(sixteen_vertex(), (True, 0, 2, 3)), GuardError,
+     "S must be 4 distinct vertices of the graph, got (True, 0, 2, 3): "
+     "each must be an int in 0..15, got True"),
+    (lambda: neighborhood_structure(sixteen_vertex(), (0, 1, 2, 3.0)), GuardError,
+     "S must be 4 distinct vertices of the graph, got (0, 1, 2, 3.0): "
+     "each must be an int in 0..15, got 3.0"),
+], ids=["subgraph-bool", "subgraph-float", "structure-bool", "structure-float"])
+def test_vertex_argument_must_be_an_int(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestComponentKinds:
@@ -279,12 +300,15 @@ class TestAuditCap:
         assert AUDIT_N_MAX == 10**7
         assert floor_identity_audit(10**7).ok
         assert case_threshold_audit(10**7).passed
-        for audit in (floor_identity_audit, case_threshold_audit):
-            with pytest.raises(GuardError, match=f"{audit.__name__} needs n_max <= 10000000"):
+        for audit, low in ((floor_identity_audit, 12), (case_threshold_audit, 17)):
+            with pytest.raises(GuardError, match=rf"^{audit.__name__}'s n_max must be an int "
+                                                 rf"in {low}\.\.10000000, got 10000001$"):
                 audit(10**7 + 1)
 
     def test_n_max_must_be_an_int(self):
-        for audit in (floor_identity_audit, case_threshold_audit):
+        for audit, low in ((floor_identity_audit, 12), (case_threshold_audit, 17)):
             for n_max in (15.5, 20.5, 25.5, 20.0, True, "20"):
-                with pytest.raises(GuardError, match=f"^{audit.__name__} needs an int n_max, "):
+                with pytest.raises(GuardError, match=rf"^{audit.__name__}'s n_max must be an int "
+                                                     rf"in {low}\.\.10000000, "
+                                                     rf"got {re.escape(repr(n_max))}$"):
                     audit(n_max)

@@ -290,7 +290,8 @@ class TestStreamWorkers:
             code, out, err = run_cli(command, "--workers", workers, stdin_text=g6(book(2)) + "\n")
             assert code == 64
             assert out == b""
-            assert err == f"p4hat {command}: worker count must be >= 1, got {workers}\n"
+            assert err == (f"p4hat {command}: worker count must be an int in 1..{MAX_WORKERS}, "
+                           f"got {workers}\n")
 
     @pytest.mark.parametrize("argv", [
         ["blocks"], ["witness"], ["search", "--n", "8", "--t", "9"],
@@ -301,7 +302,7 @@ class TestStreamWorkers:
         code, out, err = run_cli(*argv, "--workers", str(MAX_WORKERS + 1),
                                  stdin_text=g6(book(2)) + "\n")
         assert (code, out) == (64, b"")
-        assert err == (f"p4hat {argv[0]}: worker count must be <= {MAX_WORKERS}, "
+        assert err == (f"p4hat {argv[0]}: worker count must be an int in 1..{MAX_WORKERS}, "
                        f"got {MAX_WORKERS + 1}\n")
 
     def test_default_follows_cpu_affinity(self, monkeypatch, tmp_path, pool_sizes):
@@ -627,13 +628,15 @@ class TestCheckBounds:
         code, out, err = run_cli("check-bounds", "--n-max", "11")
         assert code == 64
         assert out == b""
-        assert err == "p4hat check-bounds: floor_identity_audit needs n_max >= 12, got 11\n"
+        assert err == ("p4hat check-bounds: floor_identity_audit's n_max must be an int "
+                       "in 12..10000000, got 11\n")
 
     def test_n_max_cap_usage_error(self):
         code, out, err = run_cli("check-bounds", "--n-max", "10000001")
         assert code == 64
         assert out == b""
-        assert err == "p4hat check-bounds: floor_identity_audit needs n_max <= 10000000, got 10000001\n"
+        assert err == ("p4hat check-bounds: floor_identity_audit's n_max must be an int "
+                       "in 12..10000000, got 10000001\n")
 
 
 class TestStartup:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import pytest
@@ -108,6 +109,25 @@ def test_family_registry_consistent():
         g = fam.build(arg)
         assert count_triangles(g) == fam.expected_triangles(arg)
         assert (contains_suspension_p4(g) is None) == fam.p4hat_free(arg), (name, arg)
+
+
+# a bool or a float parameter is refused as GraphError (exit 64 from
+# verify-construction), naming the builder's range and the value
+@pytest.mark.parametrize("family, arg", [
+    ("bipartite-matching", 8.0), ("bipartite-matching", True), ("small-extremal", 5.0),
+    ("small-extremal", True), ("sixteen-vertex", 16.0), ("book", 2.0), ("book", True),
+    ("complete", 4.0), ("complete", True),
+])
+def test_builder_parameter_must_be_an_int(family, arg):
+    rule = {
+        "bipartite-matching": "bipartite_matching's n must be an int >= 4",
+        "small-extremal": "small_extremal's n must be an int in 4..7",
+        "sixteen-vertex": "the sixteen-vertex graph's n must be an int in 16..16",
+        "book": "book's s must be an int >= 1",
+        "complete": "complete's k must be an int >= 1",
+    }[family]
+    with pytest.raises(GraphError, match=rf"^{re.escape(rule)}, got {re.escape(repr(arg))}$"):
+        FAMILIES[family].build(arg)
 
 
 def test_builders_check_size_before_building_edges():

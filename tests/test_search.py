@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations, combinations_with_replacement
 from math import comb
 
@@ -69,7 +70,7 @@ class TestCandidates:
         assert len(excluded_triangles(5)) == 4
 
     def test_exclusion_needs_five_vertices(self):
-        with pytest.raises(GuardError, match="candidate pruning needs n >= 5, got 4"):
+        with pytest.raises(GuardError, match="^candidate pruning's n must be an int >= 5, got 4$"):
             excluded_triangles(4)
 
     def test_exclusion_formula(self):
@@ -481,17 +482,34 @@ class TestExtremal:
         enumerate_extremal_configs(7, 6)  # equality case, 2 * 6 == floor(49/4)
 
 
-# each size guard names the range it supports and the n it rejected
+# each size guard names the range it supports and the n it rejected; a
+# float, a bool or a string is refused as GuardError, not a raw TypeError
 @pytest.mark.parametrize("call, message, low, high", [
     (lambda n: counterexample_search(n, 9), "counterexample_search", 5, SEARCH_MAX_VERTICES),
     (lambda n: certify_upper_bound(n, 99), "certify_upper_bound", 4, SEARCH_MAX_VERTICES),
     (exhaustive_oracle, "exhaustive_oracle", 1, EXHAUSTIVE_MAX_VERTICES),
-    (lambda n: enumerate_extremal_configs(n, 99), "config enumeration", 5, EXTREMAL_MAX_VERTICES),
+    (lambda n: enumerate_extremal_configs(n, 99), "enumerate_extremal_configs", 5,
+     EXTREMAL_MAX_VERTICES),
     (extremal_value, "extremal_value", 1, EXTREMAL_MAX_VERTICES),
 ], ids=["counterexample_search", "certify_upper_bound", "exhaustive_oracle",
         "enumerate_extremal_configs", "extremal_value"])
-@pytest.mark.parametrize("case", [0, -1, "max+1"])
+@pytest.mark.parametrize("case", [0, -1, "max+1", 7.5, 8.0, True, "8"])
 def test_size_guard_names_range_and_value(call, message, low, high, case):
     n = high + 1 if case == "max+1" else case
-    with pytest.raises(GuardError, match=rf"^{message} supports {low} <= n <= {high}, got {n}$"):
+    with pytest.raises(GuardError, match=rf"^{message}'s n must be an int in {low}\.\.{high}, "
+                                         rf"got {re.escape(repr(n))}$"):
         call(n)
+
+
+# the triangle-count guards keep their reason in the message
+@pytest.mark.parametrize("call, what, low", [
+    (lambda t: counterexample_search(6, t), "counterexample_search's t", 3),
+    (lambda t: certify_upper_bound(8, t), "t (the K4 route needs t > floor(n^2/8))", 9),
+    (lambda t: enumerate_extremal_configs(8, t),
+     "ex_value (configurations need 2 * ex_value >= floor(n^2/4))", 8),
+], ids=["counterexample_search", "certify_upper_bound", "enumerate_extremal_configs"])
+@pytest.mark.parametrize("case", [7.5, 8.0, True, "8"])
+def test_count_guard_names_bound_and_value(call, what, low, case):
+    with pytest.raises(GuardError, match=rf"^{re.escape(what)} must be an int >= {low}, "
+                                         rf"got {re.escape(repr(case))}$"):
+        call(case)
