@@ -50,10 +50,12 @@ class GuardError(ValueError):
 def _check_int(what: str, value: object, lo: int, hi: int | None = None,
                error: type[ValueError] = GuardError) -> None:
     """Raise ``error`` naming ``what``, the range and ``value`` unless value
-    is an int, not a bool, in lo..hi (at least lo when hi is None): the one
-    statement of every size, count and vertex guard."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < lo or (
-            hi is not None and value > hi):
+    is an int in lo..hi (at least lo when hi is None): the one statement of
+    every size, count and vertex guard.  An int is ``type(value) is int``,
+    so a bool or any other int subclass is refused; ``from_edges`` and
+    ``Graph`` inline the same test per edge and per row, where a call would
+    cost."""
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
         rule = f">= {lo}" if hi is None else f"in {lo}..{hi}"
         raise error(f"{what} must be an int {rule}, got {value!r}")
 
@@ -80,7 +82,7 @@ def _edge_pairs(adj: tuple[int, ...]) -> Iterator[Edge]:
 class Graph:
     """Simple undirected graph: vertex count plus per-vertex neighbor masks.
 
-    The constructor checks the rows in one pass.  Each row must be a
+    The constructor checks the rows in one pass.  Each row must be an int, a
     non-negative mask below ``1 << n`` with no loop bit, and the pass raises
     for the first row that is not.  It also counts the set bits, and the
     bits u of row v below the diagonal (u < v) that bit v of row u mirrors.
@@ -99,7 +101,10 @@ class Graph:
             raise GraphError(f"adjacency has {len(adj)} rows for n={n}")
         mirrored = total = 0
         for v, row in enumerate(adj):
-            if row >> v & 1 or row >> n:  # a loop, a bit at or above n, or a negative row
+            # not an int, a loop, a bit at or above n, or a negative row
+            if type(row) is not int or row >> v & 1 or row >> n:
+                if type(row) is not int:
+                    raise GraphError(f"row {v} must be an int, got {row!r}")
                 if row < 0:
                     raise VertexRangeError(f"row {v} is negative: {row}")
                 if row >> v & 1:
@@ -153,8 +158,8 @@ def from_edges(n: int, edges: Iterable[Edge]) -> Graph:
     _check_int("vertex count", n, 1, MAX_VERTICES, VertexCountError)
     rows = [0] * n
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise VertexRangeError(f"edge ({u}, {v}) leaves vertex range 0..{n - 1}")
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+            raise VertexRangeError(f"edge ({u!r}, {v!r}): each vertex must be an int in 0..{n - 1}")
         if u == v:
             raise LoopEdgeError(f"loop edge at vertex {u}")
         rows[u] |= 1 << v

@@ -37,9 +37,9 @@ R = TypeVar("R")
 IN_FLIGHT_PER_PROCESS = 2  # items sent but not yet yielded, per worker process
 # Seconds of ``fn`` a map runs here before it forks: about the pool's fixed
 # cost.  Importing pickle and select, forking the workers with their pipes,
-# one item each and the reap took a median of 10.0 ms for 2 workers and
-# 12.8 ms for 3, in a process that had imported p4hat.search and p4hat.cli
-# (31 fresh interpreters each, 2 vCPUs, Python 3.11.7).
+# one item each and the reap took a median of 6.8 ms for 2 workers and
+# 7.9 ms for 3, in a process that had imported p4hat.search and p4hat.cli
+# (31 fresh interpreters each, 2 vCPUs on a shared host, Python 3.11.7).
 FORK_BUDGET_S = 0.010
 # The most workers a map may ask for.  The parent holds two pipe ends per
 # worker, and 1024 open files is a common soft limit; reading ahead to size

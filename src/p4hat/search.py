@@ -137,13 +137,9 @@ def excluded_triangles(n: int) -> list[Triangle]:
     a vertex outside the fixed-pair support always forces the forbidden
     pattern (4(n-4) triples; 16 for n = 8)."""
     _check_int("candidate pruning's n", n, 5)
-    out = []
-    for tri in combinations(range(n), 3):
-        if tri in FIXED_TRIANGLES:
-            continue
-        if any(e in _PRUNED_EDGES for e in triangle_edges(tri)) and tri[2] >= 4:
-            out.append(tri)
-    return out
+    # the fixed pair's triangles lie inside 0..3, so tri[2] >= 4 leaves them out
+    return [tri for tri in combinations(range(n), 3)
+            if tri[2] >= 4 and any(e in _PRUNED_EDGES for e in triangle_edges(tri))]
 
 
 def candidate_triangles(n: int) -> list[Triangle]:

@@ -1,5 +1,6 @@
 import random
 import re
+from enum import IntEnum
 from itertools import combinations, product
 
 import pytest
@@ -156,10 +157,17 @@ class TestNeighborhoodStructure:
             assert rep.ts_identity == "holds"
 
 
-# a vertex argument is an int, not a bool or a float, in 0..n-1
+class Vertex(IntEnum):
+    ONE = 1
+
+
+# a vertex argument is an int, not a bool, another int subclass or a float,
+# in 0..n-1
 @pytest.mark.parametrize("call, error, message", [
     (lambda: neighborhood_subgraph(complete(5), True), VertexRangeError,
      "vertex must be an int in 0..4, got True"),
+    (lambda: neighborhood_subgraph(complete(5), Vertex.ONE), VertexRangeError,
+     "vertex must be an int in 0..4, got <Vertex.ONE: 1>"),
     (lambda: neighborhood_subgraph(complete(5), 1.0), VertexRangeError,
      "vertex must be an int in 0..4, got 1.0"),
     (lambda: neighborhood_structure(sixteen_vertex(), (True, 0, 2, 3)), GuardError,
@@ -168,7 +176,8 @@ class TestNeighborhoodStructure:
     (lambda: neighborhood_structure(sixteen_vertex(), (0, 1, 2, 3.0)), GuardError,
      "S must be 4 distinct vertices of the graph, got (0, 1, 2, 3.0): "
      "each must be an int in 0..15, got 3.0"),
-], ids=["subgraph-bool", "subgraph-float", "structure-bool", "structure-float"])
+], ids=["subgraph-bool", "subgraph-intenum", "subgraph-float", "structure-bool",
+        "structure-float"])
 def test_vertex_argument_must_be_an_int(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -72,6 +73,19 @@ class TestFromEdges:
             Graph(2, (-1, 0))
         with pytest.raises(VertexRangeError, match=r"^row 2 is negative: -2$"):
             Graph(3, (0b10, 0b01, -2))
+
+    @pytest.mark.parametrize("rows, bad", [((2.0, 1), 0), ((2, True), 1), ((0, 0, "1"), 2),
+                                           ((2, None), 1)])
+    def test_a_row_that_is_not_an_int_is_named(self, rows, bad):
+        with pytest.raises(GraphError, match=rf"^row {bad} must be an int, got {re.escape(repr(rows[bad]))}$"):
+            Graph(len(rows), rows)
+
+    @pytest.mark.parametrize("edge", [(True, 2), (0, False), (0, 1.0), (2.0, 1), ("0", 1),
+                                      (0, 3), (0, -1)])
+    def test_an_endpoint_must_be_an_int_in_range(self, edge):
+        with pytest.raises(VertexRangeError, match=rf"^edge {re.escape(repr(edge))}: "
+                                                   rf"each vertex must be an int in 0\.\.2$"):
+            from_edges(3, [(0, 1), edge])
 
     def test_validation_matches_ordered_reference(self):
         """The one-pass check accepts and rejects what the ordered scan
