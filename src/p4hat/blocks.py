@@ -37,10 +37,12 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .graphs import (
+    MAX_VERTICES,
     Edge,
     Graph,
     GraphError,
     _bits,
+    _edge_pairs,
     count_triangles,
     find_k4,
     from_edges,
@@ -83,7 +85,10 @@ def classify_block(edges) -> Block:
     edges = list(edges)
     if not edges:
         raise GraphError("classify_block needs at least one edge")
-    sub = from_edges(max(max(e) for e in edges) + 1, edges)
+    labels = [v for e in edges for v in e]
+    # a label that is not an int in range keeps n at the cap for from_edges to name
+    ok = all(type(v) is int and 0 <= v < MAX_VERTICES for v in labels)
+    sub = from_edges(max(labels) + 1 if ok else MAX_VERTICES, edges)
     verts = tuple(v for v, row in enumerate(sub.adj) if row)
     return _classify(sub.adj, verts, tuple(sub.edges()), count_triangles(sub))
 
@@ -122,18 +127,13 @@ def decompose(g: Graph) -> BlockDecomposition:
     placed = [0] * g.n  # bit y of placed[x]: edge {x, y} is in a block
     blocks = []
     strays = []
-    for u, ru in enumerate(adj):
-        above = ru >> (u + 1) << (u + 1)
-        while above:
-            low = above & -above
-            above ^= low
-            v = low.bit_length() - 1
-            if not ru & adj[v]:
-                strays.append((u, v))
-            elif not placed[u] & low:
-                placed[u] |= low
-                placed[v] |= 1 << u
-                blocks.append(_grow_block(adj, placed, u, v))
+    for u, v in _edge_pairs(adj):
+        if not adj[u] & adj[v]:
+            strays.append((u, v))
+        elif not placed[u] >> v & 1:
+            placed[u] |= 1 << v
+            placed[v] |= 1 << u
+            blocks.append(_grow_block(adj, placed, u, v))
     return BlockDecomposition(tuple(blocks), tuple(strays))
 
 

@@ -127,8 +127,8 @@ AUDIT_N_MAX = 10**7
 
 
 class FloorIdentityReport(NamedTuple):
-    n_min: int
-    n_max: int
+    checked_from: int
+    checked_to: int
     ok: bool
     first_violation: int | None
 
@@ -153,7 +153,7 @@ def floor_identity_audit(n_max: int) -> FloorIdentityReport:
 
 
 class CaseThresholdReport(NamedTuple):
-    n_max: int
+    checked_to: int
     # 3*(floor(n^2/8) + 1) > (3n^2 + 26n - 61)/12 for n >= 17, n = 2 (mod 3)
     case1_ok: bool
     case1_violations: tuple[int, ...]
@@ -189,7 +189,7 @@ def case_threshold_audit(n_max: int) -> CaseThresholdReport:
         if (12 * (n * n // 8 + 1) > n * (n + 8)) != (n >= 15)
     ]
     return CaseThresholdReport(
-        n_max=n_max,
+        checked_to=n_max,
         case1_ok=not case1_bad,
         case1_violations=tuple(case1_bad),
         case2_ok=not case2_bad,

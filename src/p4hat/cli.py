@@ -285,20 +285,8 @@ def _check_bounds(args: argparse.Namespace) -> Fields:
     cases = case_threshold_audit(max(args.n_max, 17))
     doc = {
         "n_max": args.n_max,
-        "floor_identities": {
-            "checked_from": floors.n_min,
-            "checked_to": floors.n_max,
-            "ok": floors.ok,
-            "first_violation": floors.first_violation,
-        },
-        "case_thresholds": {
-            "checked_to": cases.n_max,
-            "case1_ok": cases.case1_ok,
-            "case1_violations": cases.case1_violations,
-            "case2_ok": cases.case2_ok,
-            "case2_violations": cases.case2_violations,
-            "cauchy_schwarz_ok": cases.cauchy_schwarz_ok,
-        },
+        "floor_identities": floors._asdict(),
+        "case_thresholds": cases._asdict(),
         "passed": floors.ok and cases.passed,
     }
     return doc, not doc["passed"]

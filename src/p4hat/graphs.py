@@ -72,10 +72,10 @@ def _edge_pairs(adj: tuple[int, ...]) -> Iterator[Edge]:
     """Each edge (u, v), u < v, in lexicographic order: the one upper-triangle
     walk.  It inlines ``_bits``, since a generator per row slows every caller."""
     for u, row in enumerate(adj):
-        row = row >> (u + 1) << (u + 1)
+        row >>= u + 1  # bit i of the shifted row is vertex u + 1 + i
         while row:
             b = row & -row
-            yield u, b.bit_length() - 1
+            yield u, u + b.bit_length()
             row ^= b
 
 
@@ -127,9 +127,12 @@ class Graph:
     # -- basic accessors ---------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
+        _check_int("vertex", u, 0, self.n - 1, VertexRangeError)
+        _check_int("vertex", v, 0, self.n - 1, VertexRangeError)
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
+        _check_int("vertex", v, 0, self.n - 1, VertexRangeError)
         return self.adj[v].bit_count()
 
     def edges(self) -> list[Edge]:

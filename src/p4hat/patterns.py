@@ -27,10 +27,10 @@ class SuspensionWitness(NamedTuple):
     path: tuple[int, int, int, int]
 
     def is_valid_in(self, g: Graph) -> bool:
-        a, b, c, d = self.path
-        verts = {self.apex, a, b, c, d}
-        if len(verts) != 5 or not all(0 <= v < g.n for v in verts):
+        verts = (self.apex, *self.path)
+        if not all(type(v) is int and 0 <= v < g.n for v in verts) or len(set(verts)) != 5:
             return False
+        a, b, c, d = self.path
         row = g.adj[self.apex]
         if not all(row >> v & 1 for v in self.path):
             return False

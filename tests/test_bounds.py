@@ -19,7 +19,7 @@ from p4hat import (
     sixteen_vertex,
     small_extremal,
 )
-from p4hat.blocks import decompose
+from p4hat.blocks import classify_block, decompose
 from p4hat.bounds import (
     AUDIT_N_MAX,
     CaseThresholdReport,
@@ -176,8 +176,26 @@ class Vertex(IntEnum):
     (lambda: neighborhood_structure(sixteen_vertex(), (0, 1, 2, 3.0)), GuardError,
      "S must be 4 distinct vertices of the graph, got (0, 1, 2, 3.0): "
      "each must be an int in 0..15, got 3.0"),
+    (lambda: complete(4).has_edge(-1, 0), VertexRangeError,
+     "vertex must be an int in 0..3, got -1"),
+    (lambda: complete(4).has_edge(0, -1), VertexRangeError,
+     "vertex must be an int in 0..3, got -1"),
+    (lambda: complete(4).has_edge(9, 0), VertexRangeError,
+     "vertex must be an int in 0..3, got 9"),
+    (lambda: complete(4).has_edge(0, 9), VertexRangeError,
+     "vertex must be an int in 0..3, got 9"),
+    (lambda: complete(4).degree(-1), VertexRangeError,
+     "vertex must be an int in 0..3, got -1"),
+    (lambda: complete(4).degree(True), VertexRangeError,
+     "vertex must be an int in 0..3, got True"),
+    (lambda: classify_block([(0, 1.0)]), VertexRangeError,
+     "edge (0, 1.0): each vertex must be an int in 0..255"),
+    (lambda: classify_block([(0, 1), (0, 300)]), VertexRangeError,
+     "edge (0, 300): each vertex must be an int in 0..255"),
 ], ids=["subgraph-bool", "subgraph-intenum", "subgraph-float", "structure-bool",
-        "structure-float"])
+        "structure-float", "has-edge-negative-u", "has-edge-negative-v", "has-edge-large-u",
+        "has-edge-large-v", "degree-negative", "degree-bool", "classify-float",
+        "classify-large"])
 def test_vertex_argument_must_be_an_int(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
@@ -207,7 +225,7 @@ class TestFloorIdentities:
         # 12..16 lie inside the range 12..19 that the audit checks, 10,000 past it
         for n_max in (12, 13, 15, 16, 10_000):
             report = floor_identity_audit(n_max)
-            assert (report.n_min, report.n_max) == (12, n_max)
+            assert (report.checked_from, report.checked_to) == (12, n_max)
             assert report.ok and report.first_violation is None
 
     def test_guard(self):

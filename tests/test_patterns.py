@@ -108,6 +108,12 @@ class TestSuspension:
         assert not SuspensionWitness(4, (-1, 1, 2, 3)).is_valid_in(k5)
         assert not SuspensionWitness(7, (0, 1, 2, 3)).is_valid_in(k5)
 
+    def test_a_vertex_that_is_not_an_int_is_invalid(self):
+        k5 = complete(5)
+        assert not SuspensionWitness(0, (1, 2, 3, 4.0)).is_valid_in(k5)
+        assert not SuspensionWitness(True, (0, 2, 3, 4)).is_valid_in(k5)
+        assert not SuspensionWitness(0, (True, 2, 3, 4)).is_valid_in(k5)
+
     def test_apex_missing_a_path_vertex_is_invalid(self):
         g = from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2)])
         assert not SuspensionWitness(4, (0, 1, 2, 3)).is_valid_in(g)
